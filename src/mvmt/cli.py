@@ -65,6 +65,13 @@ class _InputError(Exception):
     pass
 
 
+# Everything main reports with EXIT_USAGE; an _InputError gets EXIT_INPUT.
+_USAGE_ERRORS = (
+    UsageError, FormulaError, EvaluationError,
+    morphisms.MorphismError, products.ProductError, harness.HarnessError,
+)
+
+
 def _parse_with(struct, text):
     if struct is not None:
         return parse_formula(text, struct.lang)
@@ -72,13 +79,16 @@ def _parse_with(struct, text):
     return formula
 
 
-def _parse_assignments(pairs):
+def _parse_assignments(pairs, domain):
     out = {}
     for item in pairs or []:
         if "=" not in item:
             raise UsageError(f"--assign expects var=element, got {item!r}")
         var, _, elem = item.partition("=")
-        out[var.strip()] = elem.strip()
+        elem = elem.strip()
+        if elem not in domain:
+            raise UsageError(f"--assign {item!r}: {elem!r} is not an element of the structure")
+        out[var.strip()] = elem
     return out
 
 
@@ -93,7 +103,7 @@ def _emit(payload, as_json, text_lines):
 def cmd_eval(args) -> int:
     struct = _load(args.structure)
     phi = parse_formula(args.formula, struct.lang)
-    valuation = _parse_assignments(args.assign)
+    valuation = _parse_assignments(args.assign, struct.domain)
     value = evaluate(struct, phi, valuation)
     label = struct.chain.label(value)
     _emit({"value": value, "label": label}, args.json, [f"value {value} ({label})"])
@@ -314,19 +324,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FormulaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (morphisms.MorphismError, products.ProductError, harness.HarnessError) as exc:
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -241,10 +241,6 @@ def gen_structure(rng: random.Random, chain: Chain, lang: Language, max_domain: 
     )
 
 
-def gen_mapping(rng: random.Random, m: Structure, n: Structure) -> dict[str, str]:
-    return {e: rng.choice(n.domain) for e in m.domain}
-
-
 # --- random formulas ----------------------------------------------------------------
 
 def _gen_term(rng: random.Random, lang: Language, scope: list[str]):

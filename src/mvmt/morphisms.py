@@ -6,6 +6,10 @@ Values below the top impose no constraint, and equality contributes nothing
 (identical arguments stay identical under any map), so homomorphisms need
 not be injective.  An embedding is an injective homomorphism; an isomorphism
 is a surjective embedding.
+
+:func:`find_homomorphisms` solves the canonical query of the source with
+the solver's backtracking kernel; :func:`check_homomorphism` checks the
+definition directly and serves as its independent oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
+from .solver import _backtrack
 from .structures import PredTable, Structure, diagram, evaluate, expand_with_names, named_constant
 
 HOMOMORPHISM = "homomorphism"
@@ -101,8 +106,20 @@ def classify_morphism(g: Mapping, m: Structure, n: Structure) -> str:
     return ISOMORPHISM
 
 
+def _atom_value(env: Mapping, data) -> int:
+    entries, default, args = data
+    return entries.get(tuple([env[a] for a in args]), default)
+
+
+def _equation_value(env: Mapping, data) -> int:
+    image, args, result, top = data
+    return top if image[tuple([env[a] for a in args])] == env[result] else 0
+
+
 def find_homomorphisms(m: Structure, n: Structure, limit: int | None = None) -> list[Mapping]:
-    """Backtracking search for homomorphisms from ``m`` to ``n``.
+    """Homomorphisms from ``m`` to ``n``: the solutions over ``n.domain`` of
+    the canonical query of ``m``, one constraint per top-valued predicate
+    tuple, function-table entry and constant, each required top in ``n``.
 
     Source elements are assigned in domain order, candidate targets tried in
     domain order, so the result order is deterministic; with ``limit=None``
@@ -111,61 +128,27 @@ def find_homomorphisms(m: Structure, n: Structure, limit: int | None = None) -> 
     _check_compatible(m, n)
     if limit is not None and limit <= 0:
         return []
-    source = m.domain
     top = m.chain.top
+    query = []
+    for pname, table in m.predicates.items():
+        target = n.predicates[pname]
+        if table.default == top:
+            facts = [a for a in product(m.domain, repeat=table.arity) if table.value(a) == top]
+        else:
+            facts = [a for a, v in table.entries.items() if v == top]
+        for args in facts:
+            query.append((args, _atom_value, (target.entries, target.default, args)))
+    for fname, table in m.functions.items():
+        image = n.functions[fname]
+        for args, result in table.items():
+            query.append(((*args, result), _equation_value, (image, args, result, top)))
+    for name, element in m.constants.items():  # a constant is a 0-ary function
+        query.append(((element,), _equation_value, ({(): n.constants[name]}, (), element, top)))
     out: list[Mapping] = []
-    partial: Mapping = {}
-
-    consts = sorted(m.constants)
-    funcs = sorted(m.functions)
-    preds = sorted(m.predicates)
-
-    def consistent(elem: str) -> bool:
-        # Only constraints whose support was completed by `elem` need checking.
-        for name in consts:
-            if m.constants[name] == elem and partial[elem] != n.constants[name]:
-                return False
-        assigned = list(partial)
-        for fname in funcs:
-            arity = m.lang.functions[fname]
-            table = m.functions[fname]
-            for args in product(assigned, repeat=arity):
-                res = table[args]
-                if res not in partial:
-                    continue
-                if elem not in args and res != elem:
-                    continue
-                if partial[res] != n.functions[fname][tuple(partial[a] for a in args)]:
-                    return False
-        for pname in preds:
-            table = m.predicates[pname]
-            target = n.predicates[pname]
-            for args in product(assigned, repeat=table.arity):
-                if table.arity > 0 and elem not in args:
-                    continue
-                if table.value(args) == top and target.value(tuple(partial[a] for a in args)) != top:
-                    return False
-        return True
-
-    def search(i: int) -> bool:
-        if i == len(source):
-            out.append(dict(partial))
-            return limit is not None and len(out) >= limit
-        e = source[i]
-        for t in n.domain:
-            partial[e] = t
-            if consistent(e) and search(i + 1):
-                return True
-            del partial[e]
-        return False
-
-    # 0-ary predicates constrain nothing the map can change; reject up front
-    # when their top condition already fails.
-    for pname in preds:
-        table = m.predicates[pname]
-        if table.arity == 0 and table.value(()) == top and n.predicates[pname].value(()) != top:
-            return []
-    search(0)
+    for g, _ in _backtrack(n.domain, m.domain, query, top, top - 1):
+        out.append(dict(g))
+        if len(out) == limit:
+            break
     return out
 
 

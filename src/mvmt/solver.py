@@ -1,18 +1,21 @@
 """Search-based evaluation of pp and existential positive sentences.
 
 A pp sentence is a constraint instance: the existential prefix lists the
-variables, the matrix the constraints.  :func:`solve_pp` computes the exact
-truth value by branch and bound over variable assignments, returning a
-witnessing assignment for the prefix.  :func:`decide_pp_top` only decides
-whether the value is the top, pruning any branch in which some instantiated
-atom already falls below top (for pp matrices the value is top exactly when
-every atom is top).  Existential positive sentences reduce to the maximum
-over their pp disjuncts.
+variables, the matrix atoms the constraints.  One backtracking kernel,
+:func:`_backtrack`, searches such instances above a value floor:
+:func:`solve_pp` as branch and bound, :func:`decide_pp_top` with the floor
+just below top (a pp matrix is top exactly when every atom is), and
+:func:`mvmt.morphisms.find_homomorphisms` on the canonical query of the
+source structure, since finding a homomorphism is the same problem (Chandra
+and Merlin).  Existential positive sentences reduce to the maximum over
+their pp disjuncts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from operator import itemgetter
 
 from .structures import Structure, evaluate
 from .syntax import (
@@ -27,7 +30,6 @@ from .syntax import (
     classify,
     free_vars,
     strip_exists_prefix,
-    term_vars,
     to_text,
     EXISTENTIAL_POSITIVE,
     PP,
@@ -48,10 +50,10 @@ class SolveResult:
     disjunct: int | None = None
 
 
-def _require_pp_sentence(phi: Formula) -> None:
+def _require_sentence(phi: Formula, fragment: str, described: str) -> None:
     tags = classify(phi)
-    if PP not in tags:
-        raise FragmentError(f"not a pp formula: {to_text(phi)}")
+    if fragment not in tags:
+        raise FragmentError(f"not {described}: {to_text(phi)}")
     if SENTENCE not in tags:
         raise FragmentError(f"not a sentence: free variables {sorted(free_vars(phi))}")
 
@@ -62,9 +64,7 @@ def _top_tuple_count(struct: Structure, atom: Formula) -> int:
     if isinstance(atom, Equals):
         return len(struct.domain)
     if isinstance(atom, TruthConst):
-        size = len(struct.domain)
-        value = struct.chain.top if atom.element is None else atom.element
-        return size if value == struct.chain.top else 0
+        return len(struct.domain) if atom.element in (None, struct.chain.top) else 0
     assert isinstance(atom, Atom)
     if atom.pred in struct.lang.algebra_constants:
         return 1 if struct.lang.algebra_constants[atom.pred] == struct.chain.top else 0
@@ -79,44 +79,90 @@ def _top_tuple_count(struct: Structure, atom: Formula) -> int:
 def _variable_order(struct: Structure, prefix: list[str], matrix: Formula) -> list[str]:
     scores: dict[str, int] = {}
     for atom in atoms_of(matrix):
-        count = _top_tuple_count(struct, atom)
-        names: set[str] = set()
-        if isinstance(atom, Atom):
-            for t in atom.args:
-                names |= term_vars(t)
-        elif isinstance(atom, Equals):
-            names = term_vars(atom.left) | term_vars(atom.right)
-        for name in names:
-            if name in prefix:
-                scores[name] = min(scores.get(name, count), count)
+        support = _top_tuple_count(struct, atom)
+        for name in free_vars(atom):
+            scores[name] = min(scores.get(name, support), support)
     unconstrained = float("inf")
     return sorted(prefix, key=lambda v: (scores.get(v, unconstrained), v))
 
 
-def _bound(struct: Structure, matrix: Formula, env: dict[str, str]) -> int:
-    """Upper bound for the matrix value over all completions of ``env``:
-    atoms with unassigned variables count as top, and both conjunctions are
-    monotone, so the bound dominates every completion and is exact once all
-    variables are assigned."""
-    top = struct.chain.top
-    if isinstance(matrix, WeakAnd):
-        left = _bound(struct, matrix.left, env)
-        if left == 0:
-            return 0
-        return min(left, _bound(struct, matrix.right, env))
-    if isinstance(matrix, StrongAnd):
-        left = _bound(struct, matrix.left, env)
-        if left == 0:
-            return 0
-        return struct.chain.tnorm[left][_bound(struct, matrix.right, env)]
-    if isinstance(matrix, (Atom, Equals)):
-        needed = free_vars(matrix)
-        if any(v not in env for v in needed):
-            return top
-        return evaluate(struct, matrix, env)
-    if isinstance(matrix, TruthConst):
-        return evaluate(struct, matrix, env)
-    raise FragmentError(f"connective {type(matrix).__name__} has no place in a pp matrix")
+def _backtrack(domain, order, constraints, top: int, floor: int, bound=None):
+    """Assign the variables in ``order`` to ``domain`` elements, both in
+    order, depth first.  ``constraints`` holds ``(variables, test, data)``
+    triples; ``test(env, data)`` is the constraint's chain value, called only
+    at the depth where the last of its ``variables`` is assigned.  A branch
+    is cut when a tested value is at most ``floor``, or when ``bound(values)``
+    is; ``values`` holds the constraint values, top while untested.
+
+    Yields ``(env, values)`` per surviving complete assignment; both are
+    live, so copy what you keep.  With a bound, each solution raises the
+    floor to its bound, so solutions come in strictly increasing value.
+    """
+    depth_of = {v: depth for depth, v in enumerate(order, 1)}
+    checks: list[list] = [[] for _ in range(len(order) + 1)]
+    for index, (variables, test, data) in enumerate(constraints):
+        checks[max([depth_of[v] for v in variables], default=0)].append((index, test, data))
+    values = [top] * len(constraints)
+    env: dict = {}
+
+    def admissible(depth: int) -> bool:
+        for index, test, data in checks[depth]:
+            value = test(env, data)
+            if value <= floor:
+                return False
+            values[index] = value
+        return bound is None or bound(values) > floor
+
+    tried = [0] * len(order)  # per variable, how many domain elements were tried
+    depth = 0 if admissible(0) else -1  # number of variables assigned
+    while depth >= 0:
+        if depth == len(order):
+            yield env, values
+            if bound is not None:
+                floor = bound(values)
+            depth -= 1
+        elif tried[depth] == len(domain):
+            tried[depth] = 0
+            for index, _, _ in checks[depth + 1]:
+                values[index] = top
+            depth -= 1
+        else:
+            env[order[depth]] = domain[tried[depth]]
+            tried[depth] += 1
+            if admissible(depth + 1):
+                depth += 1
+
+
+def _evaluate_atom(env, data) -> int:
+    struct, atom = data
+    return evaluate(struct, atom, env)
+
+
+def _matrix_bound(chain, matrix: Formula):
+    """A pp matrix's value as a function of its atoms' values in
+    :func:`atoms_of` order; monotone, so with untested atoms at top it
+    bounds every completion of a partial assignment."""
+    leaves = count()
+    tnorm = chain.tnorm
+
+    def build(f: Formula):
+        if isinstance(f, WeakAnd):
+            left, right = build(f.left), build(f.right)
+            return lambda values: min(left(values), right(values))
+        if isinstance(f, StrongAnd):
+            left, right = build(f.left), build(f.right)
+            return lambda values: tnorm[left(values)][right(values)]
+        return itemgetter(next(leaves))
+
+    return build(matrix)
+
+
+def _pp_query(struct: Structure, phi: Formula):
+    """Prefix, matrix, variable order and atom constraints of a pp sentence."""
+    _require_sentence(phi, PP, "a pp formula")
+    prefix, matrix = strip_exists_prefix(phi)
+    constraints = [(free_vars(a), _evaluate_atom, (struct, a)) for a in atoms_of(matrix)]
+    return prefix, matrix, _variable_order(struct, prefix, matrix), constraints
 
 
 def solve_pp(struct: Structure, phi: Formula) -> SolveResult:
@@ -124,35 +170,16 @@ def solve_pp(struct: Structure, phi: Formula) -> SolveResult:
 
     Branch and bound in a deterministic order: variables sorted by scarcest
     top support (ties by name), domain elements in domain order.  The
-    witness is the first assignment in that order attaining the final value.
+    witness is the first assignment in that order attaining the value.
     """
-    _require_pp_sentence(phi)
-    prefix, matrix = strip_exists_prefix(phi)
-    order = _variable_order(struct, prefix, matrix)
+    prefix, matrix, order, constraints = _pp_query(struct, phi)
     top = struct.chain.top
-
-    best = -1
-    best_env: dict[str, str] = {}
-    env: dict[str, str] = {}
-
-    def search(i: int) -> bool:
-        nonlocal best, best_env
-        bound = _bound(struct, matrix, env)
-        if bound <= best:
-            return False
-        if i == len(order):
-            best = bound
-            best_env = dict(env)
-            return best == top
-        for e in struct.domain:
-            env[order[i]] = e
-            if search(i + 1):
-                return True
-            del env[order[i]]
-        return False
-
-    search(0)
-    witness = {v: best_env[v] for v in prefix} if prefix else {}
+    bound = _matrix_bound(struct.chain, matrix)
+    best, witness = -1, {}
+    for env, values in _backtrack(struct.domain, order, constraints, top, -1, bound):
+        best, witness = bound(values), {v: env[v] for v in prefix}
+        if best == top:
+            break
     return SolveResult(value=best, witness=witness, decided_top=best == top)
 
 
@@ -162,51 +189,16 @@ def decide_pp_top(struct: Structure, phi: Formula) -> dict[str, str] | None:
     Prunes a branch as soon as any fully instantiated atom falls below top,
     without computing exact values.
     """
-    _require_pp_sentence(phi)
-    prefix, matrix = strip_exists_prefix(phi)
-    order = _variable_order(struct, prefix, matrix)
+    prefix, _, order, constraints = _pp_query(struct, phi)
     top = struct.chain.top
-    atoms = atoms_of(matrix)
-    env: dict[str, str] = {}
-
-    def all_instantiated_top(assigned: str | None) -> bool:
-        for atom in atoms:
-            needed = free_vars(atom)
-            if assigned is not None and assigned not in needed and needed:
-                continue
-            if any(v not in env for v in needed):
-                continue
-            if evaluate(struct, atom, env) != top:
-                return False
-        return True
-
-    def search(i: int) -> dict[str, str] | None:
-        if i == len(order):
-            return dict(env)
-        for e in struct.domain:
-            env[order[i]] = e
-            if all_instantiated_top(order[i]):
-                found = search(i + 1)
-                if found is not None:
-                    return found
-            del env[order[i]]
-        return None
-
-    if not all_instantiated_top(None):
-        return None
-    found = search(0)
-    if found is None:
-        return None
-    return {v: found[v] for v in prefix}
+    for env, _ in _backtrack(struct.domain, order, constraints, top, top - 1):
+        return {v: env[v] for v in prefix}
+    return None
 
 
 def solve_ep(struct: Structure, phi: Formula) -> SolveResult:
     """Maximum over the pp disjuncts of an existential positive sentence."""
-    tags = classify(phi)
-    if EXISTENTIAL_POSITIVE not in tags:
-        raise FragmentError(f"not an existential positive formula: {to_text(phi)}")
-    if SENTENCE not in tags:
-        raise FragmentError(f"not a sentence: free variables {sorted(free_vars(phi))}")
+    _require_sentence(phi, EXISTENTIAL_POSITIVE, "an existential positive formula")
     disjuncts = ep_to_pp_disjunction(phi)
     best: SolveResult | None = None
     best_index = 0

@@ -249,6 +249,24 @@ def truth_constant_name(k: int) -> str:
     return TRUTH_CONSTANT_PREFIX + str(k)
 
 
+def _expansion(struct: Structure, functions, constants, algebra_constants) -> Structure:
+    """A copy of ``struct`` whose language has the given function and
+    algebra-constant symbols, with ``constants`` interpreting the 0-ary ones."""
+    lang = Language(
+        predicates=dict(struct.lang.predicates),
+        functions=functions,
+        algebra_constants=algebra_constants,
+    )
+    return Structure(
+        chain=struct.chain,
+        lang=lang,
+        domain=struct.domain,
+        predicates={p: PredTable(t.arity, t.default, dict(t.entries)) for p, t in struct.predicates.items()},
+        functions={f: dict(t) for f, t in struct.functions.items()},
+        constants=constants,
+    )
+
+
 def expand_with_names(struct: Structure) -> Structure:
     """Expand with one fresh individual constant per domain element.
 
@@ -272,20 +290,7 @@ def expand_with_names(struct: Structure) -> Structure:
             continue
         functions[name] = 0
         constants[name] = e
-    new_lang = Language(
-        predicates=dict(lang.predicates),
-        functions=functions,
-        has_equality=lang.has_equality,
-        algebra_constants=dict(lang.algebra_constants),
-    )
-    return Structure(
-        chain=struct.chain,
-        lang=new_lang,
-        domain=struct.domain,
-        predicates={p: PredTable(t.arity, t.default, dict(t.entries)) for p, t in struct.predicates.items()},
-        functions={f: dict(t) for f, t in struct.functions.items()},
-        constants=constants,
-    )
+    return _expansion(struct, functions, constants, dict(lang.algebra_constants))
 
 
 def expand_with_truth_constants(struct: Structure) -> Structure:
@@ -299,20 +304,7 @@ def expand_with_truth_constants(struct: Structure) -> Structure:
         if algebra_constants.get(name, k) != k:
             raise StructureError(f"cannot add truth constant {name!r}: name already in use")
         algebra_constants[name] = k
-    new_lang = Language(
-        predicates=dict(lang.predicates),
-        functions=dict(lang.functions),
-        has_equality=lang.has_equality,
-        algebra_constants=algebra_constants,
-    )
-    return Structure(
-        chain=struct.chain,
-        lang=new_lang,
-        domain=struct.domain,
-        predicates={p: PredTable(t.arity, t.default, dict(t.entries)) for p, t in struct.predicates.items()},
-        functions={f: dict(t) for f, t in struct.functions.items()},
-        constants=dict(struct.constants),
-    )
+    return _expansion(struct, dict(lang.functions), dict(struct.constants), algebra_constants)
 
 
 def _diagram_terms(expanded: Structure) -> list[tuple[Term, str]]:

@@ -21,7 +21,8 @@ reserved words.  Identifiers not declared in the language are variables.
 
 Parsing renames bound variables apart: after :func:`parse_formula` every
 binder uses a name distinct from all other binders and from every free
-variable, so substitution never captures.
+variable, so substitution never captures.  It rejects formulas nested more
+than :data:`MAX_NESTING` levels deep.
 
 Two rewriters implement the fragment normal forms.  Both rely only on laws
 that hold in every finite chain: min/max distribute over each other, the
@@ -78,7 +79,6 @@ class Language:
 
     predicates: Mapping[str, int] = field(default_factory=dict)
     functions: Mapping[str, int] = field(default_factory=dict)
-    has_equality: bool = True
     algebra_constants: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -271,14 +271,10 @@ def substitute(phi: Formula, var: str, term: Term) -> Formula:
         if phi.var in term_vars(term) and var in free_vars(phi.body):
             used = free_vars(phi.body) | term_vars(term) | {var}
             new = _fresh(phi.var, used)
-            body = _map_free_var(phi.body, phi.var, new)
+            body = substitute(phi.body, phi.var, Var(new))
             return type(phi)(new, substitute(body, var, term))
         return type(phi)(phi.var, substitute(phi.body, var, term))
     return type(phi)(substitute(phi.left, var, term), substitute(phi.right, var, term))
-
-
-def _map_free_var(phi: Formula, old: str, new: str) -> Formula:
-    return substitute(phi, old, Var(new))
 
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
@@ -361,6 +357,30 @@ def to_text(phi: Formula) -> str:
 
 # --- tokenizer and parser ----------------------------------------------------
 
+MAX_NESTING = 100
+"""Deepest nesting the parser accepts, both in open groups while parsing
+(parentheses, quantifier bodies, implication right operands, argument lists)
+and in syntax-tree levels, terms included.  Everything downstream recurses
+per level, so this keeps it within Python's default recursion limit."""
+
+
+def _tree_depth(phi: Formula) -> int:
+    """Levels of the syntax tree, terms included, counted without recursion."""
+    depth, level = 0, [phi]
+    while level:
+        depth += 1
+        below = []
+        for node in level:
+            if isinstance(node, (Atom, App)):
+                below += node.args
+            elif isinstance(node, (Exists, Forall)):
+                below.append(node.body)
+            elif not isinstance(node, (Var, TruthConst)):
+                below += (node.left, node.right)
+        level = below
+    return depth
+
+
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<arrow>->)"
@@ -396,6 +416,7 @@ class _Parser:
     def __init__(self, text: str, lang: Language | None):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.lang = lang
         self.inferred_preds: dict[str, int] = {}
         self.inferred_funcs: dict[str, int] = {}
@@ -414,6 +435,15 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {val or 'end of input'!r}", pos)
         return self.next()
 
+    def nested(self, parse):
+        """Run ``parse`` one level deeper, within :data:`MAX_NESTING`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", self.peek()[2])
+        result = parse()
+        self.depth -= 1
+        return result
+
     # grammar levels
 
     def formula(self) -> Formula:
@@ -423,7 +453,7 @@ class _Parser:
         left = self.disjunction()
         if self.peek()[1] == "->":
             self.next()
-            return Implies(left, self.implication())
+            return Implies(left, self.nested(self.implication))
         return left
 
     def disjunction(self) -> Formula:
@@ -457,7 +487,7 @@ class _Parser:
             if not names:
                 raise ParseError("quantifier needs at least one variable", self.peek()[2])
             self.expect(".")
-            body = self.formula()
+            body = self.nested(self.formula)
             node = Exists if val == "E" else Forall
             for name in reversed(names):
                 body = node(name, body)
@@ -468,7 +498,7 @@ class _Parser:
         kind, val, pos = self.peek()
         if val == "(":
             self.next()
-            f = self.formula()
+            f = self.nested(self.formula)
             self.expect(")")
             return f
         if kind == "num":
@@ -525,10 +555,10 @@ class _Parser:
 
     def parse_args(self) -> tuple[int, tuple[Term, ...]]:
         self.expect("(")
-        args = [self.term()]
+        args = [self.nested(self.term)]
         while self.peek()[1] == ",":
             self.next()
-            args.append(self.term())
+            args.append(self.nested(self.term))
         self.expect(")")
         return len(args), tuple(args)
 
@@ -584,6 +614,8 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected trailing input {val!r}", pos)
+        if _tree_depth(f) > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", 0)
         return rename_apart(f)
 
 

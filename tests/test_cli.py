@@ -245,3 +245,34 @@ def test_byte_determinism(capsys, two_point_file):
 def test_eval_unbound_variable(capsys, two_point_file):
     code, _, err = run(capsys, "eval", "--structure", two_point_file, "--formula", "P(x)")
     assert code == 1 and "unbound" in err
+
+
+def test_eval_rejects_assignment_outside_the_domain(capsys, tmp_path, two_point_file):
+    code, out, err = run(
+        capsys, "eval", "--structure", two_point_file, "--formula", "P(x)", "--assign", "x=zzz"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "'zzz'" in err
+    # with a function term the element used to surface as a false arity error
+    s = build(
+        make_lukasiewicz(3),
+        ("a", "b"),
+        preds={"P": (1, 0, {("a",): 2})},
+        funcs={"f": {("a",): "b", ("b",): "a"}},
+    )
+    path = tmp_path / "f.json"
+    save_structure(s, path)
+    code, out, err = run(
+        capsys, "eval", "--structure", str(path), "--formula", "P(f(x))", "--assign", "x=zzz"
+    )
+    assert code == 1 and out == ""
+    assert "'zzz'" in err and "argument" not in err
+
+
+def test_deep_formulas_are_usage_errors(capsys, two_point_file):
+    for text in (" & ".join(["P(x)"] * 3000), "(" * 1200 + "P(x)" + ")" * 1200):
+        code, out, err = run(
+            capsys, "eval", "--structure", two_point_file, "--formula", text, "--assign", "x=a"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "nested deeper" in err

@@ -98,6 +98,8 @@ def test_find_all_against_exhaustive_enumeration():
             if check_homomorphism(dict(zip(m.domain, image)), m, n) is None
         ]
         assert found == brute
+        for k in (1, 2):
+            assert find_homomorphisms(m, n, limit=k) == found[:k]
 
 
 def test_all_four_maps_on_all_top_predicates():

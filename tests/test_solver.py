@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from mvmt import (
@@ -17,6 +19,7 @@ from mvmt.harness import (
     gen_structure,
     trial_rng,
 )
+from mvmt.solver import _variable_order
 from mvmt.syntax import strip_exists_prefix
 
 from support import build, ref_evaluate
@@ -89,6 +92,15 @@ def test_solve_pp_matches_evaluation_randomized():
         assert (w is not None) == r.decided_top
         if w is not None:
             assert evaluate(s, matrix, w) == chain.top
+        # both witnesses are the first qualifying assignment in search order:
+        # variables in _variable_order, each running through the domain
+        order = _variable_order(s, prefix, matrix)
+        assignments = [dict(zip(order, image)) for image in product(s.domain, repeat=len(order))]
+        values = [ref_evaluate(s, matrix, a) for a in assignments]
+        first = assignments[values.index(r.value)]
+        assert r.witness == {v: first[v] for v in prefix}
+        tops = [a for a, value in zip(assignments, values) if value == chain.top]
+        assert w == ({v: tops[0][v] for v in prefix} if tops else None)
 
 
 def test_solve_ep_basic_cases():

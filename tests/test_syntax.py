@@ -12,6 +12,7 @@ from mvmt import (
     alpha_equal,
     classify,
     ep_to_pp_disjunction,
+    evaluate,
     free_vars,
     infer_formula,
     is_pp_normal_shape,
@@ -23,6 +24,7 @@ from mvmt import (
 )
 from mvmt.harness import gen_ep_formula, gen_full_formula, gen_language, gen_pp_formula, trial_rng
 from mvmt.syntax import (
+    MAX_NESTING,
     App,
     Atom,
     Equals,
@@ -116,6 +118,59 @@ def test_parse_errors():
         parse_formula("P(Q)", LANG)
     with pytest.raises(ParseError):
         parse_formula("P(x) # Q(x)", LANG)
+
+
+def _conjunction_chain(k):
+    # k atoms of the 0-ary Z joined by '&': a left-deep tree k levels deep
+    return " & ".join(["Z"] * k)
+
+
+def _parenthesized(k):
+    return "(" * k + "Z" + ")" * k
+
+
+def _quantified_nest(k):
+    # E x . (P(x) & (P(x) & ... (P(f(x))))) with k parenthesized levels:
+    # k + 3 open groups while parsing (the quantifier body, the parentheses
+    # and the two argument lists) and k + 4 tree levels (the quantifier, k
+    # conjunctions, the innermost atom and its two term levels).
+    text = "P(f(x))"
+    for _ in range(k):
+        text = f"(P(x) & {text})"
+    return f"E x . {text}"
+
+
+def test_nesting_just_over_the_limit_is_a_parse_error():
+    lang_zf = Language(predicates={"Z": 0, "P": 1}, functions={"f": 1})
+    for text in (_conjunction_chain(MAX_NESTING + 1), _parenthesized(MAX_NESTING + 1)):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_formula(text, LANG)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_formula(_quantified_nest(MAX_NESTING - 3), lang_zf)
+    # the shapes that used to exhaust the interpreter stack
+    for text in (_conjunction_chain(3000), _parenthesized(1200)):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_formula(text, LANG)
+        with pytest.raises(ParseError, match="nested deeper"):
+            infer_formula(text)
+
+
+def test_nesting_at_the_limit_works_end_to_end():
+    chain = make_lukasiewicz(3)
+    s = build(
+        chain,
+        ("a", "b"),
+        preds={"Z": (0, 2, {}), "P": (1, 0, {("a",): 2, ("b",): 1})},
+        funcs={"f": {("a",): "b", ("b",): "a"}},
+    )
+    cases = [_conjunction_chain(MAX_NESTING), _parenthesized(MAX_NESTING), _quantified_nest(MAX_NESTING - 4)]
+    for text in cases:
+        phi = parse_formula(text, s.lang)
+        assert classify(phi) >= {"pp", "sentence"}
+        assert alpha_equal(parse_formula(to_text(phi), s.lang), phi)
+        value = evaluate(s, phi)
+        assert value == ref_evaluate(s, phi)
+        assert evaluate(s, pp_normal_form(phi)) == value
 
 
 def test_positions_reported():
