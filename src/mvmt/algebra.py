@@ -204,10 +204,17 @@ def chain_to_dict(chain: Chain) -> dict:
     return d
 
 
+# Largest chain a structure file may ask for: the tables are size x size, and
+# validating a custom table takes size^3 steps.
+MAX_LOADED_CHAIN_SIZE = 256
+
+
 def chain_from_dict(d: dict) -> Chain:
     if not isinstance(d, dict) or "kind" not in d or "size" not in d:
         raise ChainError("algebra fragment must carry 'kind' and 'size'")
     kind, size = d["kind"], d["size"]
+    if isinstance(size, int) and size > MAX_LOADED_CHAIN_SIZE:
+        raise InvalidSizeError(f"chain size {size} exceeds the limit {MAX_LOADED_CHAIN_SIZE}")
     if kind == "lukasiewicz":
         return make_lukasiewicz(size)
     if kind == "godel":

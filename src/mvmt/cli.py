@@ -113,13 +113,9 @@ def cmd_eval(args) -> int:
 def cmd_solve(args) -> int:
     struct = _load(args.structure)
     phi = parse_formula(args.formula, struct.lang)
-    tags = classify(phi)
-    if PP in tags:
-        result = solver.solve_pp(struct, phi)
-    elif EXISTENTIAL_POSITIVE in tags:
-        result = solver.solve_ep(struct, phi)
-    else:
+    if EXISTENTIAL_POSITIVE not in classify(phi):
         raise UsageError("solve handles pp and existential positive sentences only")
+    result = solver.solve_ep(struct, phi)
     label = struct.chain.label(result.value)
     payload = {
         "value": result.value,
@@ -133,9 +129,6 @@ def cmd_solve(args) -> int:
     ]
     if result.witness:
         lines.append("witness " + ",".join(f"{v}={e}" for v, e in sorted(result.witness.items())))
-    if result.disjunct is not None:
-        payload["disjunct"] = result.disjunct
-        lines.append(f"disjunct {result.disjunct}")
     _emit(payload, args.json, lines)
     return EXIT_OK
 

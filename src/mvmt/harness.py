@@ -137,6 +137,13 @@ def trial_rng(seed: int, suite: str, trial: int) -> random.Random:
     return random.Random(f"{seed}:{suite}:{trial}")
 
 
+def _record(cfg: GenConfig, suite: str, trial: int, chain: Chain, **fields) -> dict:
+    """A self-contained violation record: the trial, the seed string that
+    replays it, the serialized chain, and the suite's own fields."""
+    seed = f"{cfg.seed}:{suite}:{trial}"
+    return {"trial": trial, "seed": seed, "chain": chain_to_dict(chain), **fields}
+
+
 # --- random algebras ------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -381,19 +388,15 @@ def _preservation_suite(cfg: GenConfig, suite: str, mode: str) -> CheckReport:
                 mapped = {v: g[e] for v, e in valuation.items()}
                 got = evaluate(n, phi, mapped)
                 if got != chain.top:
-                    violations.append(
-                        {
-                            "trial": trial,
-                            "seed": f"{cfg.seed}:{suite}:{trial}",
-                            "chain": chain_to_dict(chain),
-                            "m": structure_to_dict(m),
-                            "n": structure_to_dict(n),
-                            "mapping": g,
-                            "formula": to_text(phi),
-                            "assignment": valuation,
-                            "target_value": got,
-                        }
-                    )
+                    violations.append(_record(
+                        cfg, suite, trial, chain,
+                        m=structure_to_dict(m),
+                        n=structure_to_dict(n),
+                        mapping=g,
+                        formula=to_text(phi),
+                        assignment=valuation,
+                        target_value=got,
+                    ))
         if fired:
             effective += 1
     return _finish(suite, cfg.trials, effective, violations)
@@ -444,19 +447,15 @@ def check_product_preservation(cfg: GenConfig) -> CheckReport:
                 if in_product or per_factor:
                     fired = True
                 if in_product != per_factor:
-                    violations.append(
-                        {
-                            "trial": trial,
-                            "seed": f"{cfg.seed}:product:{trial}",
-                            "policy": policy,
-                            "chain": chain_to_dict(chain),
-                            "factors": [structure_to_dict(s) for s in factors],
-                            "formula": to_text(phi),
-                            "assignment": valuation,
-                            "product_top": in_product,
-                            "factors_top": per_factor,
-                        }
-                    )
+                    violations.append(_record(
+                        cfg, "product", trial, chain,
+                        policy=policy,
+                        factors=[structure_to_dict(s) for s in factors],
+                        formula=to_text(phi),
+                        assignment=valuation,
+                        product_top=in_product,
+                        factors_top=per_factor,
+                    ))
         if fired:
             effective += 1
     return _finish("product", cfg.trials, effective, violations)
@@ -480,41 +479,33 @@ def check_pp_theory_closure(cfg: GenConfig, axioms: list[Formula], lang: Languag
         first = gen_structure(rng, chain, lang, cfg.max_domain)
         second = gen_structure(rng, chain, lang, cfg.max_domain)
         fired = False
-        models = [s for s in (first, second) if is_model(s, axioms)]
-        if len(models) == 2:
+        drawn = [(first, is_model(first, axioms)), (second, is_model(second, axioms))]
+        if all(model for _, model in drawn):
             prod = direct_product([first, second])
             fired = True
             if not is_model(prod, axioms):
-                violations.append(
-                    {
-                        "trial": trial,
-                        "seed": f"{cfg.seed}:closure:{trial}",
-                        "kind": "product",
-                        "chain": chain_to_dict(chain),
-                        "factors": [structure_to_dict(first), structure_to_dict(second)],
-                        "axioms": [to_text(a) for a in axioms],
-                    }
-                )
-        for source, target in ((first, second), (second, first)):
-            if not is_model(source, axioms):
+                violations.append(_record(
+                    cfg, "closure", trial, chain,
+                    kind="product",
+                    factors=[structure_to_dict(first), structure_to_dict(second)],
+                    axioms=[to_text(a) for a in axioms],
+                ))
+        for (source, source_model), (target, target_model) in (drawn, drawn[::-1]):
+            if not source_model:
                 continue
             homs = find_homomorphisms(source, target, limit=1)
             if not homs:
                 continue
             fired = True
-            if not is_model(target, axioms):
-                violations.append(
-                    {
-                        "trial": trial,
-                        "seed": f"{cfg.seed}:closure:{trial}",
-                        "kind": "homomorphism",
-                        "chain": chain_to_dict(chain),
-                        "m": structure_to_dict(source),
-                        "n": structure_to_dict(target),
-                        "mapping": homs[0],
-                        "axioms": [to_text(a) for a in axioms],
-                    }
-                )
+            if not target_model:
+                violations.append(_record(
+                    cfg, "closure", trial, chain,
+                    kind="homomorphism",
+                    m=structure_to_dict(source),
+                    n=structure_to_dict(target),
+                    mapping=homs[0],
+                    axioms=[to_text(a) for a in axioms],
+                ))
         if fired:
             effective += 1
     return _finish("closure", cfg.trials, effective, violations)
@@ -543,18 +534,16 @@ def find_below_top_counterexample(cfg: GenConfig) -> dict | None:
             mapped = {v: g[e] for v, e in valuation.items()}
             target = evaluate(n, phi, mapped)
             if target < source:
-                return {
-                    "trial": trial,
-                    "seed": f"{cfg.seed}:below-top:{trial}",
-                    "chain": chain_to_dict(chain),
-                    "m": structure_to_dict(m),
-                    "n": structure_to_dict(n),
-                    "mapping": g,
-                    "formula": to_text(phi),
-                    "assignment": valuation,
-                    "source_value": source,
-                    "target_value": target,
-                }
+                return _record(
+                    cfg, "below-top", trial, chain,
+                    m=structure_to_dict(m),
+                    n=structure_to_dict(n),
+                    mapping=g,
+                    formula=to_text(phi),
+                    assignment=valuation,
+                    source_value=source,
+                    target_value=target,
+                )
     return None
 
 

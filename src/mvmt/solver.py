@@ -7,8 +7,9 @@ variables, the matrix atoms the constraints.  One backtracking kernel,
 just below top (a pp matrix is top exactly when every atom is), and
 :func:`mvmt.morphisms.find_homomorphisms` on the canonical query of the
 source structure, since finding a homomorphism is the same problem (Chandra
-and Merlin).  Existential positive sentences reduce to the maximum over
-their pp disjuncts.
+and Merlin).  An existential positive sentence is searched the same way by
+:func:`solve_ep`: its matrix bound takes ``\\/`` as the max of its children,
+so no expansion into pp disjuncts is needed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .syntax import (
     Equals,
     FragmentError,
     Formula,
+    Or,
     StrongAnd,
     TruthConst,
     WeakAnd,
@@ -34,20 +36,18 @@ from .syntax import (
     EXISTENTIAL_POSITIVE,
     PP,
     SENTENCE,
-    ep_to_pp_disjunction,
+    ep_to_pp_disjunction,  # noqa: F401  unused; tracers wrap mvmt.solver.ep_to_pp_disjunction
 )
 
 
 @dataclass
 class SolveResult:
-    """Outcome of a solve: the exact value, a prefix assignment attaining
-    it, whether that value is the top, and (for existential positive input)
-    which pp disjunct attained the maximum."""
+    """Outcome of a solve: the exact value, the first prefix assignment in
+    search order attaining it, and whether that value is the top."""
 
     value: int
     witness: dict[str, str]
     decided_top: bool
-    disjunct: int | None = None
 
 
 def _require_sentence(phi: Formula, fragment: str, described: str) -> None:
@@ -86,13 +86,14 @@ def _variable_order(struct: Structure, prefix: list[str], matrix: Formula) -> li
     return sorted(prefix, key=lambda v: (scores.get(v, unconstrained), v))
 
 
-def _backtrack(domain, order, constraints, top: int, floor: int, bound=None):
+def _backtrack(domain, order, constraints, top: int, floor: int, bound=None, uncut=frozenset()):
     """Assign the variables in ``order`` to ``domain`` elements, both in
     order, depth first.  ``constraints`` holds ``(variables, test, data)``
     triples; ``test(env, data)`` is the constraint's chain value, called only
     at the depth where the last of its ``variables`` is assigned.  A branch
-    is cut when a tested value is at most ``floor``, or when ``bound(values)``
-    is; ``values`` holds the constraint values, top while untested.
+    is cut when a tested value is at most ``floor`` (unless the constraint's
+    index is in ``uncut``), or when ``bound(values)`` is; ``values`` holds
+    the constraint values, top while untested.
 
     Yields ``(env, values)`` per surviving complete assignment; both are
     live, so copy what you keep.  With a bound, each solution raises the
@@ -101,14 +102,15 @@ def _backtrack(domain, order, constraints, top: int, floor: int, bound=None):
     depth_of = {v: depth for depth, v in enumerate(order, 1)}
     checks: list[list] = [[] for _ in range(len(order) + 1)]
     for index, (variables, test, data) in enumerate(constraints):
-        checks[max([depth_of[v] for v in variables], default=0)].append((index, test, data))
+        at = max([depth_of[v] for v in variables], default=0)
+        checks[at].append((index, test, data, index not in uncut))
     values = [top] * len(constraints)
     env: dict = {}
 
     def admissible(depth: int) -> bool:
-        for index, test, data in checks[depth]:
+        for index, test, data, cuts in checks[depth]:
             value = test(env, data)
-            if value <= floor:
+            if value <= floor and cuts:
                 return False
             values[index] = value
         return bound is None or bound(values) > floor
@@ -123,7 +125,7 @@ def _backtrack(domain, order, constraints, top: int, floor: int, bound=None):
             depth -= 1
         elif tried[depth] == len(domain):
             tried[depth] = 0
-            for index, _, _ in checks[depth + 1]:
+            for index, _, _, _ in checks[depth + 1]:
                 values[index] = top
             depth -= 1
         else:
@@ -139,30 +141,55 @@ def _evaluate_atom(env, data) -> int:
 
 
 def _matrix_bound(chain, matrix: Formula):
-    """A pp matrix's value as a function of its atoms' values in
-    :func:`atoms_of` order; monotone, so with untested atoms at top it
-    bounds every completion of a partial assignment."""
+    """An EP matrix's value as a function of its atoms' values in
+    :func:`atoms_of` order, and the indices of the atoms under a ``\\/``.
+
+    The function is monotone, so with untested atoms at top it bounds every
+    completion of a partial assignment.  Outside any ``\\/`` the matrix is
+    at most each atom's value, so one atom at or below the floor cuts the
+    branch; under a ``\\/`` another disjunct may still exceed it.
+    """
     leaves = count()
     tnorm = chain.tnorm
+    under_or: set[int] = set()
 
-    def build(f: Formula):
+    def build(f: Formula, in_or: bool):
         if isinstance(f, WeakAnd):
-            left, right = build(f.left), build(f.right)
+            left, right = build(f.left, in_or), build(f.right, in_or)
             return lambda values: min(left(values), right(values))
         if isinstance(f, StrongAnd):
-            left, right = build(f.left), build(f.right)
+            left, right = build(f.left, in_or), build(f.right, in_or)
             return lambda values: tnorm[left(values)][right(values)]
-        return itemgetter(next(leaves))
+        if isinstance(f, Or):
+            left, right = build(f.left, True), build(f.right, True)
+            return lambda values: max(left(values), right(values))
+        index = next(leaves)
+        if in_or:
+            under_or.add(index)
+        return itemgetter(index)
 
-    return build(matrix)
+    return build(matrix, False), under_or
 
 
-def _pp_query(struct: Structure, phi: Formula):
-    """Prefix, matrix, variable order and atom constraints of a pp sentence."""
-    _require_sentence(phi, PP, "a pp formula")
+def _query(struct: Structure, phi: Formula, fragment: str, described: str):
+    """Prefix, matrix, variable order and atom constraints of a sentence."""
+    _require_sentence(phi, fragment, described)
     prefix, matrix = strip_exists_prefix(phi)
     constraints = [(free_vars(a), _evaluate_atom, (struct, a)) for a in atoms_of(matrix)]
     return prefix, matrix, _variable_order(struct, prefix, matrix), constraints
+
+
+def _solve(struct: Structure, phi: Formula, fragment: str, described: str) -> SolveResult:
+    """The branch and bound behind :func:`solve_pp` and :func:`solve_ep`."""
+    prefix, matrix, order, constraints = _query(struct, phi, fragment, described)
+    top = struct.chain.top
+    bound, uncut = _matrix_bound(struct.chain, matrix)
+    best, witness = -1, {}
+    for env, values in _backtrack(struct.domain, order, constraints, top, -1, bound, uncut):
+        best, witness = bound(values), {v: env[v] for v in prefix}
+        if best == top:
+            break
+    return SolveResult(value=best, witness=witness, decided_top=best == top)
 
 
 def solve_pp(struct: Structure, phi: Formula) -> SolveResult:
@@ -172,15 +199,7 @@ def solve_pp(struct: Structure, phi: Formula) -> SolveResult:
     top support (ties by name), domain elements in domain order.  The
     witness is the first assignment in that order attaining the value.
     """
-    prefix, matrix, order, constraints = _pp_query(struct, phi)
-    top = struct.chain.top
-    bound = _matrix_bound(struct.chain, matrix)
-    best, witness = -1, {}
-    for env, values in _backtrack(struct.domain, order, constraints, top, -1, bound):
-        best, witness = bound(values), {v: env[v] for v in prefix}
-        if best == top:
-            break
-    return SolveResult(value=best, witness=witness, decided_top=best == top)
+    return _solve(struct, phi, PP, "a pp formula")
 
 
 def decide_pp_top(struct: Structure, phi: Formula) -> dict[str, str] | None:
@@ -189,7 +208,7 @@ def decide_pp_top(struct: Structure, phi: Formula) -> dict[str, str] | None:
     Prunes a branch as soon as any fully instantiated atom falls below top,
     without computing exact values.
     """
-    prefix, _, order, constraints = _pp_query(struct, phi)
+    prefix, _, order, constraints = _query(struct, phi, PP, "a pp formula")
     top = struct.chain.top
     for env, _ in _backtrack(struct.domain, order, constraints, top, top - 1):
         return {v: env[v] for v in prefix}
@@ -197,18 +216,7 @@ def decide_pp_top(struct: Structure, phi: Formula) -> dict[str, str] | None:
 
 
 def solve_ep(struct: Structure, phi: Formula) -> SolveResult:
-    """Maximum over the pp disjuncts of an existential positive sentence."""
-    _require_sentence(phi, EXISTENTIAL_POSITIVE, "an existential positive formula")
-    disjuncts = ep_to_pp_disjunction(phi)
-    best: SolveResult | None = None
-    best_index = 0
-    for index, d in enumerate(disjuncts):
-        r = solve_pp(struct, d)
-        if best is None or r.value > best.value:
-            best, best_index = r, index
-            if best.value == struct.chain.top:
-                break
-    assert best is not None
-    return SolveResult(
-        value=best.value, witness=best.witness, decided_top=best.decided_top, disjunct=best_index
-    )
+    """Exact value of an existential positive sentence with a witnessing
+    prefix assignment: the same search as :func:`solve_pp`, run directly on
+    the matrix with ``\\/`` as max."""
+    return _solve(struct, phi, EXISTENTIAL_POSITIVE, "an existential positive formula")

@@ -200,19 +200,14 @@ def test_check_product_and_ep_suites(capsys):
     assert code == 0 and "suite ep" in out
 
 
-def test_solve_ep_sentence_reports_disjunct(capsys, two_point_file):
-    code, out, _ = run(
-        capsys,
-        "solve",
-        "--structure",
-        two_point_file,
-        "--formula",
-        "E x . P(x) \\/ Q(x)",
-        "--json",
-    )
+def test_solve_ep_sentence_reports_value_and_witness(capsys, two_point_file):
+    args = ("solve", "--structure", two_point_file, "--formula", "E x . Q(x) /\\ (P(x) \\/ Q(x))")
+    code, out, _ = run(capsys, *args, "--json")
     assert code == 0
-    data = json.loads(out)
-    assert data["value"] == 2 and data["disjunct"] == 0
+    assert json.loads(out) == {"value": 2, "label": "2/2", "decided_top": True, "witness": {"x": "a"}}
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out == "value 2 (2/2)\ndecided_top true\nwitness x=a\n"
 
 
 def test_usage_errors(capsys, two_point_file):
@@ -233,6 +228,17 @@ def test_input_file_errors(capsys, tmp_path):
     bad.write_text("{]")
     code, _, err = run(capsys, "eval", "--structure", str(bad), "--formula", "1")
     assert code == 4
+
+
+def test_oversized_chain_is_rejected(capsys, tmp_path, two_point_file):
+    with open(two_point_file, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["algebra"] = {"kind": "lukasiewicz", "size": 100000}
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(data))
+    code, out, err = run(capsys, "eval", "--structure", str(big), "--formula", "1")
+    assert code == 4 and out == ""
+    assert "chain size 100000 exceeds the limit" in err
 
 
 def test_byte_determinism(capsys, two_point_file):

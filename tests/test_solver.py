@@ -19,7 +19,7 @@ from mvmt.harness import (
     gen_structure,
     trial_rng,
 )
-from mvmt.solver import _variable_order
+from mvmt.solver import SolveResult, _variable_order
 from mvmt.syntax import strip_exists_prefix
 
 from support import build, ref_evaluate
@@ -107,21 +107,15 @@ def test_solve_ep_basic_cases():
     s = two_point()
     phi = parse_formula("E x . P(x) \\/ Q(x)", s.lang)
     r = solve_ep(s, phi)
-    assert r.value == 2 and r.decided_top and r.disjunct == 0
+    assert r == SolveResult(value=2, witness={"x": "a"}, decided_top=True)
     assert evaluate(s, phi) == 2
 
-    pp = parse_formula("E x . P(x) & Q(x)", s.lang)
-    ep_result = solve_ep(s, pp)
-    pp_result = solve_pp(s, pp)
-    assert (ep_result.value, ep_result.witness, ep_result.decided_top) == (
-        pp_result.value,
-        pp_result.witness,
-        pp_result.decided_top,
-    )
-    assert ep_result.disjunct == 0
+    for text in ("E x . P(x) & Q(x)", "E x y . P(x) /\\ (Q(y) & P(y))"):
+        pp = parse_formula(text, s.lang)
+        assert solve_ep(s, pp) == solve_pp(s, pp)
 
 
-def test_solve_ep_reports_attaining_disjunct():
+def test_solve_ep_witness_from_second_disjunct():
     s = build(
         CHAIN3,
         ("a", "b"),
@@ -129,7 +123,8 @@ def test_solve_ep_reports_attaining_disjunct():
     )
     phi = parse_formula("E x . P(x) \\/ Q(x)", s.lang)
     r = solve_ep(s, phi)
-    assert r.value == 2 and r.disjunct == 1 and r.witness == {"x": "b"}
+    assert r == SolveResult(value=2, witness={"x": "b"}, decided_top=True)
+    assert not hasattr(r, "disjunct")
 
 
 def test_solve_ep_matches_evaluation_randomized():
@@ -142,6 +137,28 @@ def test_solve_ep_matches_evaluation_randomized():
         r = solve_ep(s, phi)
         assert r.value == ref_evaluate(s, phi)
         assert r.decided_top == (r.value == chain.top)
+        # the witness is the first assignment attaining the value, with the
+        # variables in _variable_order, each running through the domain
+        prefix, matrix = strip_exists_prefix(phi)
+        order = _variable_order(s, prefix, matrix)
+        assignments = [dict(zip(order, image)) for image in product(s.domain, repeat=len(order))]
+        values = [ref_evaluate(s, matrix, a) for a in assignments]
+        first = assignments[values.index(r.value)]
+        assert r.witness == {v: first[v] for v in prefix}
+
+
+def test_solve_ep_needs_no_disjunct_expansion():
+    # 14 clauses would expand into 3^14 pp disjuncts; the search runs on the
+    # matrix itself
+    s = build(
+        CHAIN3,
+        ("a", "b"),
+        preds={"P": (1, 0, {("a",): 1, ("b",): 2})},
+        funcs={"f": {("a",): "b", ("b",): "a"}},
+    )
+    clause = "(P(x) \\/ P(f(y)) \\/ x = y)"
+    phi = parse_formula("E x y . " + " & ".join([clause] * 14), s.lang)
+    assert solve_ep(s, phi).value == evaluate(s, phi)
 
 
 def test_deterministic_witness():
