@@ -187,11 +187,10 @@ def coatom(chain: Chain) -> int:
 
 def chain_kind(chain: Chain) -> str:
     """Classify a chain for serialization: "lukasiewicz", "godel" or "custom"."""
-    n = chain.size
-    if n >= 2:
-        if chain.tnorm == tuple(tuple(max(0, i + j - (n - 1)) for j in range(n)) for i in range(n)):
+    if chain.size >= 2:
+        if chain.tnorm == make_lukasiewicz(chain.size).tnorm:
             return "lukasiewicz"
-        if chain.tnorm == tuple(tuple(min(i, j) for j in range(n)) for i in range(n)):
+        if chain.tnorm == make_godel(chain.size).tnorm:
             return "godel"
     return "custom"
 

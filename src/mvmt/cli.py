@@ -24,7 +24,6 @@ from .structures import (
 )
 from .syntax import (
     EXISTENTIAL_POSITIVE,
-    PP,
     FormulaError,
     Language,
     classify,
@@ -32,7 +31,6 @@ from .syntax import (
     free_vars,
     infer_formula,
     parse_formula,
-    pp_normal_form,
     to_text,
 )
 
@@ -149,13 +147,9 @@ def cmd_classify(args) -> int:
 def cmd_normalize(args) -> int:
     struct = _load(args.structure) if args.structure else None
     phi = _parse_with(struct, args.formula)
-    tags = classify(phi)
-    if PP in tags:
-        out = [to_text(pp_normal_form(phi))]
-    elif EXISTENTIAL_POSITIVE in tags:
-        out = [to_text(d) for d in ep_to_pp_disjunction(phi)]
-    else:
+    if EXISTENTIAL_POSITIVE not in classify(phi):
         raise UsageError("normalize handles pp and existential positive formulas only")
+    out = [to_text(d) for d in ep_to_pp_disjunction(phi)]
     _emit({"formulas": out}, args.json, out)
     return EXIT_OK
 

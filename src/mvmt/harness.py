@@ -23,7 +23,7 @@ the attempts is inconclusive rather than a pass.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -106,14 +106,7 @@ class CheckReport:
     verdict: str = PASS
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "effective": self.effective,
-            "skipped": self.skipped,
-            "violations": self.violations,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def _finish(suite: str, trials: int, effective: int, violations: list[dict]) -> CheckReport:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .solver import _backtrack
-from .structures import PredTable, Structure, diagram, evaluate, expand_with_names, named_constant
+from .structures import Structure, _expansion, diagram, evaluate, expand_with_names, named_constant
 
 HOMOMORPHISM = "homomorphism"
 EMBEDDING = "embedding"
@@ -172,21 +172,14 @@ def check_diagram_lemma(m: Structure, n: Structure) -> bool:
     """
     _check_compatible(m, n)
     sentences = diagram(m)
-    expanded_m = expand_with_names(m)
+    lang = expand_with_names(m).lang
     top = m.chain.top
 
     def models_diagram(assignment: tuple[str, ...]) -> bool:
         constants = dict(n.constants)
         for e, t in zip(m.domain, assignment):
             constants[named_constant(e)] = t
-        candidate = Structure(
-            chain=n.chain,
-            lang=expanded_m.lang,
-            domain=n.domain,
-            predicates={p: PredTable(t.arity, t.default, dict(t.entries)) for p, t in n.predicates.items()},
-            functions={f: dict(t) for f, t in n.functions.items()},
-            constants=constants,
-        )
+        candidate = _expansion(n, dict(lang.functions), constants, dict(lang.algebra_constants))
         return all(evaluate(candidate, s) == top for s in sentences)
 
     diagram_side = any(models_diagram(a) for a in product(n.domain, repeat=len(m.domain)))

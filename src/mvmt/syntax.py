@@ -20,14 +20,17 @@ values; ``@k`` denotes the chain element with index ``k``.  ``E``/``A`` are
 reserved words.  Identifiers not declared in the language are variables.
 
 Parsing renames bound variables apart: after :func:`parse_formula` every
-binder uses a name distinct from all other binders and from every free
-variable, so substitution never captures.  It rejects formulas nested more
-than :data:`MAX_NESTING` levels deep.
+binder uses a name distinct from all other binders, free variables and
+function symbols, so substitution never captures.  It rejects formulas nested
+more than :data:`MAX_NESTING` levels deep.
 
-Two rewriters implement the fragment normal forms.  Both rely only on laws
-that hold in every finite chain: min/max distribute over each other, the
-conjunction table distributes over min and max (monotonicity plus linearity),
-and existential quantifiers distribute over max.
+One expander implements the fragment normal forms: it distributes an EP
+matrix into canonical pp disjuncts, dropping duplicates as it goes, and
+:func:`ep_to_pp_disjunction` and :func:`pp_normal_form` both return its
+result.  It relies only on laws that hold in every finite chain: min/max
+distribute over each other, the conjunction table distributes over min and
+max (monotonicity plus linearity), and existential quantifiers distribute
+over max.
 """
 
 from __future__ import annotations
@@ -225,9 +228,10 @@ def _fresh(base: str, used: set[str]) -> str:
 
 
 def rename_apart(phi: Formula) -> Formula:
-    """Rename binders so all bound names are distinct from each other and
-    from every free variable."""
-    used = set(free_vars(phi))
+    """Rename binders so all bound names are distinct from each other, from
+    every free variable and from every function symbol, so that no bound
+    variable prints like a constant."""
+    used = free_vars(phi) | {n.func for level in _levels(phi) for n in level if isinstance(n, App)}
 
     def walk(f: Formula, env: dict[str, str]) -> Formula:
         if isinstance(f, (Atom, Equals, TruthConst)):
@@ -364,11 +368,11 @@ and in syntax-tree levels, terms included.  Everything downstream recurses
 per level, so this keeps it within Python's default recursion limit."""
 
 
-def _tree_depth(phi: Formula) -> int:
-    """Levels of the syntax tree, terms included, counted without recursion."""
-    depth, level = 0, [phi]
+def _levels(phi: Formula) -> Iterator[list]:
+    """The levels of the syntax tree, terms included, walked without recursion."""
+    level = [phi]
     while level:
-        depth += 1
+        yield level
         below = []
         for node in level:
             if isinstance(node, (Atom, App)):
@@ -378,7 +382,6 @@ def _tree_depth(phi: Formula) -> int:
             elif not isinstance(node, (Var, TruthConst)):
                 below += (node.left, node.right)
         level = below
-    return depth
 
 
 _TOKEN_RE = re.compile(
@@ -614,7 +617,7 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected trailing input {val!r}", pos)
-        if _tree_depth(f) > MAX_NESTING:
+        if sum(1 for _ in _levels(f)) > MAX_NESTING:
             raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", 0)
         return rename_apart(f)
 
@@ -697,32 +700,39 @@ def classify(phi: Formula) -> frozenset[str]:
 
 # --- normal forms -------------------------------------------------------------
 
-Block = tuple[Formula, ...]  # atoms joined by strong conjunction
+Block = tuple[str, ...]  # printed atoms joined by strong conjunction, sorted
+Disjunct = tuple[Block, ...]  # distinct blocks joined by min, sorted
 
 
-def _pp_blocks(matrix: Formula) -> list[Block]:
+def _disjuncts(matrix: Formula, atoms: dict[str, Formula]) -> list[Disjunct]:
+    """The canonical pp disjuncts of an EP matrix, without duplicates, each in
+    the position where it first appears in the full distributive expansion.
+
+    Atoms are keyed by their printed form, which ``atoms`` maps back to the
+    atom; each atom is printed once.  Duplicates can be dropped at every level
+    because the canonical form of ``a /\\ b``, ``a & b`` and ``a \\/ b``
+    depends only on those of ``a`` and ``b``, and a dropped twin always comes
+    after the kept one in the product loops below.
+    """
     if isinstance(matrix, (Atom, Equals, TruthConst)):
-        return [(matrix,)]
-    if isinstance(matrix, WeakAnd):
-        return _pp_blocks(matrix.left) + _pp_blocks(matrix.right)
-    if isinstance(matrix, StrongAnd):
-        return [a + b for a in _pp_blocks(matrix.left) for b in _pp_blocks(matrix.right)]
-    raise FragmentError(f"connective {type(matrix).__name__} has no place in a pp matrix")
+        text = to_text(matrix)
+        atoms.setdefault(text, matrix)
+        return [((text,),)]
+    left = _disjuncts(matrix.left, atoms)
+    right = _disjuncts(matrix.right, atoms)
+    if isinstance(matrix, Or):
+        expanded = left + right
+    elif isinstance(matrix, WeakAnd):
+        expanded = (tuple(sorted(set(a + b))) for a in left for b in right)
+    else:
+        expanded = (
+            tuple(sorted({tuple(sorted(x + y)) for x in a for y in b})) for a in left for b in right
+        )
+    return list(dict.fromkeys(expanded))
 
 
-def _canonical_blocks(blocks: list[Block]) -> list[Block]:
-    ordered = [tuple(sorted(b, key=to_text)) for b in blocks]
-    seen = set()
-    out = []
-    for b in sorted(ordered, key=lambda b: tuple(to_text(a) for a in b)):
-        if b not in seen:
-            seen.add(b)
-            out.append(b)
-    return out
-
-
-def _rebuild(prefix: list[str], blocks: list[Block]) -> Formula:
-    conjuncts = [reduce(StrongAnd, b) for b in blocks]
+def _rebuild(prefix: list[str], disjunct: Disjunct, atoms: dict[str, Formula]) -> Formula:
+    conjuncts = [reduce(StrongAnd, [atoms[text] for text in block]) for block in disjunct]
     matrix = reduce(WeakAnd, conjuncts)
     for name in reversed(prefix):
         matrix = Exists(name, matrix)
@@ -741,8 +751,7 @@ def pp_normal_form(phi: Formula) -> Formula:
     """
     if PP not in classify(phi):
         raise FragmentError(f"not a pp formula: {to_text(phi)}")
-    prefix, matrix = strip_exists_prefix(phi)
-    return _rebuild(prefix, _canonical_blocks(_pp_blocks(matrix)))
+    return ep_to_pp_disjunction(phi)[0]
 
 
 def is_pp_normal_shape(phi: Formula) -> bool:
@@ -763,43 +772,22 @@ def is_pp_normal_shape(phi: Formula) -> bool:
     return weak_layer(matrix)
 
 
-def _ep_disjuncts(matrix: Formula) -> list[list[Block]]:
-    if isinstance(matrix, (Atom, Equals, TruthConst)):
-        return [[(matrix,)]]
-    if isinstance(matrix, Or):
-        return _ep_disjuncts(matrix.left) + _ep_disjuncts(matrix.right)
-    if isinstance(matrix, WeakAnd):
-        return [a + b for a in _ep_disjuncts(matrix.left) for b in _ep_disjuncts(matrix.right)]
-    if isinstance(matrix, StrongAnd):
-        return [
-            [x + y for x in a for y in b]
-            for a in _ep_disjuncts(matrix.left)
-            for b in _ep_disjuncts(matrix.right)
-        ]
-    raise FragmentError(f"connective {type(matrix).__name__} has no place in an EP matrix")
-
-
 def ep_to_pp_disjunction(phi: Formula) -> list[Formula]:
     """Decompose an existential positive formula into pp formulas whose
     pointwise maximum equals it in every structure over every chain.
 
     Disjunctions are pushed out through both conjunctions and through the
     existential prefix; each resulting pp disjunct keeps the full prefix and
-    is canonicalized like :func:`pp_normal_form`.  A pp input yields a
-    one-element list holding its normal form.
+    is canonicalized like :func:`pp_normal_form`.  Disjuncts that print alike
+    appear once, in the order of their first appearance in the expansion, so
+    the work is bounded by the number of distinct disjuncts at each level of
+    the matrix.  A pp input yields a one-element list holding its normal form.
     """
     if EXISTENTIAL_POSITIVE not in classify(phi):
         raise FragmentError(f"not an existential positive formula: {to_text(phi)}")
     prefix, matrix = strip_exists_prefix(phi)
-    out: list[Formula] = []
-    seen: set[str] = set()
-    for blocks in _ep_disjuncts(matrix):
-        candidate = _rebuild(prefix, _canonical_blocks(blocks))
-        text = to_text(candidate)
-        if text not in seen:
-            seen.add(text)
-            out.append(candidate)
-    return out
+    atoms: dict[str, Formula] = {}
+    return [_rebuild(prefix, d, atoms) for d in _disjuncts(matrix, atoms)]
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:

@@ -84,6 +84,13 @@ def test_normalize_rejects_other_fragments(capsys):
     assert "error" in err
 
 
+def test_normalize_deduplicates_disjuncts(capsys):
+    clause = "(P(x) \\/ P(f(y)) \\/ x = y)"
+    code, out, _ = run(capsys, "normalize", "--formula", "E x y . " + " /\\ ".join([clause] * 14))
+    assert code == 0
+    assert len(out.splitlines()) == 7
+
+
 def test_hom_listing_deterministic(capsys, two_point_file):
     code, out, _ = run(
         capsys, "hom", "--from", two_point_file, "--to", two_point_file, "--all"

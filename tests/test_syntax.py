@@ -201,6 +201,11 @@ def test_rename_apart_avoids_free_names():
     binder = f.right
     assert isinstance(binder, Exists)
     assert binder.var != "x"
+    # nor a constant's name: the two atoms would print alike and the normal
+    # form, which keys atoms by their printed form, would merge them
+    g = parse_formula("E x . E x . Q(x, x_2) /\\ Q(x_2, x)", Language({"Q": 2}, {"x_2": 0}))
+    assert g.body.var not in {"x", "x_2"}
+    assert to_text(pp_normal_form(g)) == "E x x_3 . Q(x_2, x_3) /\\ Q(x_3, x_2)"
 
 
 def test_classify_fragment_examples():
@@ -316,6 +321,14 @@ def test_ep_disjunction_examples():
         parse_formula("E x . P(x) & R(x)", LANG),
     ]
 
+    # disjuncts keep the order of their first appearance, duplicates dropped
+    h = parse_formula("E x . (Q(x) \\/ P(x)) /\\ (P(x) \\/ Q(x))", LANG)
+    assert [to_text(d) for d in ep_to_pp_disjunction(h)] == [
+        "E x . P(x) /\\ Q(x)",
+        "E x . Q(x)",
+        "E x . P(x)",
+    ]
+
     pp = parse_formula("E x . P(x) & (Q(x) /\\ R(x))", LANG)
     assert ep_to_pp_disjunction(pp) == [pp_normal_form(pp)]
 
@@ -329,6 +342,23 @@ def test_ep_disjunction_max_equality_exhaustive():
         for s in all_unary_structures(chain, ["P", "Q", "R", "S"], domain):
             assert ref_evaluate(s, f) == max(ref_evaluate(s, d) for d in parts)
             assert all(is_pp_normal_shape(d) for d in parts)
+
+
+def test_ep_disjunction_deduplicates_while_expanding():
+    # 14 clauses have 3^14 raw disjuncts but only 7 (/\) or 120 (&) distinct
+    # ones; the expansion drops duplicates at every level instead of at the end
+    s = build(
+        make_lukasiewicz(3),
+        ("a", "b"),
+        preds={"P": (1, 0, {("a",): 1, ("b",): 2})},
+        funcs={"f": {("a",): "b", ("b",): "a"}},
+    )
+    clause = "(P(x) \\/ P(f(y)) \\/ x = y)"
+    for join, count in ((" /\\ ", 7), (" & ", 120)):
+        phi = parse_formula("E x y . " + join.join([clause] * 14), s.lang)
+        parts = ep_to_pp_disjunction(phi)
+        assert len(parts) == count
+        assert max(ref_evaluate(s, d) for d in parts) == ref_evaluate(s, phi)
 
 
 def test_normal_forms_value_preserving_randomized():
