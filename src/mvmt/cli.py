@@ -169,10 +169,7 @@ def cmd_hom(args) -> int:
 
 def cmd_product(args) -> int:
     factors = [_load(path) for path in args.factors]
-    if args.weak == "scrambled":
-        result = products.weak_product(factors, policy="scrambled", seed=args.seed)
-    else:
-        result = products.direct_product(factors)
+    result = products.weak_product(factors, policy=args.weak, seed=args.seed)
     text = dumps_structure(result)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

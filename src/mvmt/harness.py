@@ -59,6 +59,7 @@ from .syntax import (
 )
 
 MIN_EFFECTIVE_RATIO = 0.3
+MAX_PRED_ARITY = 2  # largest predicate arity in generated languages
 
 PASS = "pass"
 FAIL = "fail"
@@ -82,13 +83,12 @@ class GenConfig:
     seed: int = 0
     max_chain: int = 4
     max_domain: int = 3
-    max_pred_arity: int = 2
     max_depth: int = 4
     trials: int = 200
     allow_implication: bool = False
 
     def __post_init__(self):
-        for name in ("max_chain", "max_domain", "max_pred_arity", "max_depth", "trials"):
+        for name in ("max_chain", "max_domain", "max_depth", "trials"):
             if getattr(self, name) < 1:
                 raise HarnessError(f"{name} must be at least 1")
 
@@ -191,18 +191,17 @@ def gen_chain(rng: random.Random, max_size: int) -> Chain:
 
 # --- random languages and structures ----------------------------------------------
 
-def gen_language(rng: random.Random, max_pred_arity: int, with_functions: bool = True) -> Language:
+def gen_language(rng: random.Random, max_pred_arity: int) -> Language:
     count = rng.randint(1, 3)
     names = ("P", "Q", "R")[:count]
     predicates = {}
     for i, name in enumerate(names):
         predicates[name] = rng.randint(1, max_pred_arity) if i == 0 else rng.randint(0, max_pred_arity)
     functions: dict[str, int] = {}
-    if with_functions:
-        if rng.random() < 0.3:
-            functions["c"] = 0
-        if rng.random() < 0.3:
-            functions["f"] = 1
+    if rng.random() < 0.3:
+        functions["c"] = 0
+    if rng.random() < 0.3:
+        functions["f"] = 1
     return Language(predicates=predicates, functions=functions)
 
 
@@ -364,7 +363,7 @@ def _preservation_suite(cfg: GenConfig, suite: str, mode: str) -> CheckReport:
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, suite, trial)
         chain = gen_chain(rng, cfg.max_chain)
-        lang = gen_language(rng, cfg.max_pred_arity)
+        lang = gen_language(rng, MAX_PRED_ARITY)
         m = gen_structure(rng, chain, lang, cfg.max_domain)
         n = gen_structure(rng, chain, lang, cfg.max_domain)
         homs = find_homomorphisms(m, n)
@@ -415,7 +414,7 @@ def check_product_preservation(cfg: GenConfig) -> CheckReport:
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, "product", trial)
         chain = gen_chain(rng, cfg.max_chain)
-        lang = gen_language(rng, cfg.max_pred_arity)
+        lang = gen_language(rng, MAX_PRED_ARITY)
         count = rng.randint(2, 3)
         factors = [gen_structure(rng, chain, lang, cfg.max_domain) for _ in range(count)]
         free = list(_FREE_POOL[: rng.randint(0, 1)])
@@ -511,7 +510,7 @@ def find_below_top_counterexample(cfg: GenConfig) -> dict | None:
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, "below-top", trial)
         chain = gen_chain(rng, cfg.max_chain)
-        lang = gen_language(rng, cfg.max_pred_arity)
+        lang = gen_language(rng, MAX_PRED_ARITY)
         m = gen_structure(rng, chain, lang, cfg.max_domain)
         n = gen_structure(rng, chain, lang, cfg.max_domain)
         homs = find_homomorphisms(m, n, limit=1)

@@ -15,7 +15,6 @@ so no expansion into pp disjuncts is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from operator import itemgetter
 
 from .structures import Structure, evaluate
@@ -140,17 +139,21 @@ def _evaluate_atom(env, data) -> int:
     return evaluate(struct, atom, env)
 
 
-def _matrix_bound(chain, matrix: Formula):
-    """An EP matrix's value as a function of its atoms' values in
-    :func:`atoms_of` order, and the indices of the atoms under a ``\\/``.
+def _query(struct: Structure, phi: Formula, fragment: str, described: str):
+    """Prefix, variable order, atom constraints, matrix bound and the
+    indices of the atoms under a ``\\/``, from one walk over the matrix.
 
-    The function is monotone, so with untested atoms at top it bounds every
-    completion of a partial assignment.  Outside any ``\\/`` the matrix is
-    at most each atom's value, so one atom at or below the floor cuts the
-    branch; under a ``\\/`` another disjunct may still exceed it.
+    The walk appends each atom's constraint at the index that the bound
+    reads the atom's value from.  The bound is monotone, so with untested
+    atoms at top it bounds every completion of a partial assignment.
+    Outside any ``\\/`` the matrix is at most each atom's value, so one atom
+    at or below the floor cuts the branch; under a ``\\/`` another disjunct
+    may still exceed it.
     """
-    leaves = count()
-    tnorm = chain.tnorm
+    _require_sentence(phi, fragment, described)
+    prefix, matrix = strip_exists_prefix(phi)
+    tnorm = struct.chain.tnorm
+    constraints: list[tuple] = []
     under_or: set[int] = set()
 
     def build(f: Formula, in_or: bool):
@@ -163,27 +166,19 @@ def _matrix_bound(chain, matrix: Formula):
         if isinstance(f, Or):
             left, right = build(f.left, True), build(f.right, True)
             return lambda values: max(left(values), right(values))
-        index = next(leaves)
         if in_or:
-            under_or.add(index)
-        return itemgetter(index)
+            under_or.add(len(constraints))
+        constraints.append((free_vars(f), _evaluate_atom, (struct, f)))
+        return itemgetter(len(constraints) - 1)
 
-    return build(matrix, False), under_or
-
-
-def _query(struct: Structure, phi: Formula, fragment: str, described: str):
-    """Prefix, matrix, variable order and atom constraints of a sentence."""
-    _require_sentence(phi, fragment, described)
-    prefix, matrix = strip_exists_prefix(phi)
-    constraints = [(free_vars(a), _evaluate_atom, (struct, a)) for a in atoms_of(matrix)]
-    return prefix, matrix, _variable_order(struct, prefix, matrix), constraints
+    bound = build(matrix, False)
+    return prefix, _variable_order(struct, prefix, matrix), constraints, bound, under_or
 
 
 def _solve(struct: Structure, phi: Formula, fragment: str, described: str) -> SolveResult:
     """The branch and bound behind :func:`solve_pp` and :func:`solve_ep`."""
-    prefix, matrix, order, constraints = _query(struct, phi, fragment, described)
+    prefix, order, constraints, bound, uncut = _query(struct, phi, fragment, described)
     top = struct.chain.top
-    bound, uncut = _matrix_bound(struct.chain, matrix)
     best, witness = -1, {}
     for env, values in _backtrack(struct.domain, order, constraints, top, -1, bound, uncut):
         best, witness = bound(values), {v: env[v] for v in prefix}
@@ -208,7 +203,7 @@ def decide_pp_top(struct: Structure, phi: Formula) -> dict[str, str] | None:
     Prunes a branch as soon as any fully instantiated atom falls below top,
     without computing exact values.
     """
-    prefix, _, order, constraints = _query(struct, phi, PP, "a pp formula")
+    prefix, order, constraints, _, _ = _query(struct, phi, PP, "a pp formula")
     top = struct.chain.top
     for env, _ in _backtrack(struct.domain, order, constraints, top, top - 1):
         return {v: env[v] for v in prefix}

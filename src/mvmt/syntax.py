@@ -21,8 +21,11 @@ reserved words.  Identifiers not declared in the language are variables.
 
 Parsing renames bound variables apart: after :func:`parse_formula` every
 binder uses a name distinct from all other binders, free variables and
-function symbols, so substitution never captures.  It rejects formulas nested
-more than :data:`MAX_NESTING` levels deep.
+function symbols, so no bound variable prints like a constant.  It rejects
+formulas nested more than :data:`MAX_NESTING` levels deep.  One walker
+renames binders for both :func:`rename_apart` and :func:`substitute`, which
+also keeps binders away from the substituted term's names, so substitution
+never captures.
 
 One expander implements the fragment normal forms: it distributes an EP
 matrix into canonical pp disjuncts, dropping duplicates as it goes, and
@@ -227,58 +230,48 @@ def _fresh(base: str, used: set[str]) -> str:
     return name
 
 
+def _functions(node: Formula | Term) -> set[str]:
+    """The function symbols of a formula or term."""
+    return {n.func for level in _levels(node) for n in level if isinstance(n, App)}
+
+
 def rename_apart(phi: Formula) -> Formula:
     """Rename binders so all bound names are distinct from each other, from
     every free variable and from every function symbol, so that no bound
     variable prints like a constant."""
-    used = free_vars(phi) | {n.func for level in _levels(phi) for n in level if isinstance(n, App)}
-
-    def walk(f: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(f, (Atom, Equals, TruthConst)):
-            return _map_terms(f, lambda t: _rename_term(t, env))
-        if isinstance(f, (Exists, Forall)):
-            new = _fresh(f.var, used)
-            body = walk(f.body, {**env, f.var: new})
-            return type(f)(new, body)
-        return type(f)(walk(f.left, env), walk(f.right, env))
-
-    return walk(phi, {})
-
-
-def _rename_term(t: Term, env: Mapping[str, str]) -> Term:
-    if isinstance(t, Var):
-        return Var(env.get(t.name, t.name))
-    return App(t.func, tuple(_rename_term(a, env) for a in t.args))
-
-
-def _map_terms(f: Formula, fn) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(fn(t) for t in f.args))
-    if isinstance(f, Equals):
-        return Equals(fn(f.left), fn(f.right))
-    return f
-
-
-def _subst_term(t: Term, var: str, repl: Term) -> Term:
-    if isinstance(t, Var):
-        return repl if t.name == var else t
-    return App(t.func, tuple(_subst_term(a, var, repl) for a in t.args))
+    return _rebind(phi, {}, free_vars(phi) | _functions(phi))
 
 
 def substitute(phi: Formula, var: str, term: Term) -> Formula:
-    """Replace free occurrences of ``var`` by ``term``, capture-avoiding."""
-    if isinstance(phi, (Atom, Equals, TruthConst)):
-        return _map_terms(phi, lambda t: _subst_term(t, var, term))
-    if isinstance(phi, (Exists, Forall)):
-        if phi.var == var:
-            return phi
-        if phi.var in term_vars(term) and var in free_vars(phi.body):
-            used = free_vars(phi.body) | term_vars(term) | {var}
-            new = _fresh(phi.var, used)
-            body = substitute(phi.body, phi.var, Var(new))
-            return type(phi)(new, substitute(body, var, term))
-        return type(phi)(phi.var, substitute(phi.body, var, term))
-    return type(phi)(substitute(phi.left, var, term), substitute(phi.right, var, term))
+    """Replace free occurrences of ``var`` by ``term``, capture-avoiding.
+
+    Binders are renamed apart as by :func:`rename_apart`, and away from the
+    variables and function symbols of ``term`` too."""
+    free = free_vars(phi)
+    if var not in free:
+        return phi
+    return _rebind(phi, {var: term}, free | _functions(phi) | term_vars(term) | _functions(term))
+
+
+def _rebind(f: Formula, env: Mapping[str, Term], used: set[str]) -> Formula:
+    """Replace each free variable named in ``env`` by its term, and give
+    every binder the first fresh name outside ``used``, which it then joins."""
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple(_replace(t, env) for t in f.args))
+    if isinstance(f, Equals):
+        return Equals(_replace(f.left, env), _replace(f.right, env))
+    if isinstance(f, TruthConst):
+        return f
+    if isinstance(f, (Exists, Forall)):
+        new = _fresh(f.var, used)
+        return type(f)(new, _rebind(f.body, {**env, f.var: Var(new)}, used))
+    return type(f)(_rebind(f.left, env, used), _rebind(f.right, env, used))
+
+
+def _replace(t: Term, env: Mapping[str, Term]) -> Term:
+    if isinstance(t, Var):
+        return env.get(t.name, t)
+    return App(t.func, tuple(_replace(a, env) for a in t.args))
 
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
@@ -384,6 +377,8 @@ def _levels(phi: Formula) -> Iterator[list]:
         level = below
 
 
+_BINARY_LEVELS = (("\\/", Or), ("/\\", WeakAnd), ("&", StrongAnd))  # loosest first
+
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<arrow>->)"
@@ -449,35 +444,23 @@ class _Parser:
 
     # grammar levels
 
-    def formula(self) -> Formula:
-        return self.implication()
-
     def implication(self) -> Formula:
-        left = self.disjunction()
+        left = self.binary(0)
         if self.peek()[1] == "->":
             self.next()
             return Implies(left, self.nested(self.implication))
         return left
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek()[1] == "\\/":
+    def binary(self, level: int) -> Formula:
+        """A chain of the connective at ``_BINARY_LEVELS[level]`` over the
+        levels after it, left associative; past the last level, a unary."""
+        if level == len(_BINARY_LEVELS):
+            return self.unary()
+        symbol, node = _BINARY_LEVELS[level]
+        f = self.binary(level + 1)
+        while self.peek()[1] == symbol:
             self.next()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.strong()
-        while self.peek()[1] == "/\\":
-            self.next()
-            f = WeakAnd(f, self.strong())
-        return f
-
-    def strong(self) -> Formula:
-        f = self.unary()
-        while self.peek()[1] == "&":
-            self.next()
-            f = StrongAnd(f, self.unary())
+            f = node(f, self.binary(level + 1))
         return f
 
     def unary(self) -> Formula:
@@ -490,7 +473,7 @@ class _Parser:
             if not names:
                 raise ParseError("quantifier needs at least one variable", self.peek()[2])
             self.expect(".")
-            body = self.nested(self.formula)
+            body = self.nested(self.implication)
             node = Exists if val == "E" else Forall
             for name in reversed(names):
                 body = node(name, body)
@@ -501,7 +484,7 @@ class _Parser:
         kind, val, pos = self.peek()
         if val == "(":
             self.next()
-            f = self.nested(self.formula)
+            f = self.nested(self.implication)
             self.expect(")")
             return f
         if kind == "num":
@@ -528,15 +511,15 @@ class _Parser:
             if name in self.lang.algebra_constants:
                 return Atom(name, ())
             if name in self.lang.predicates:
-                return self.finish_atom(name, self.lang.predicates[name], pos)
+                return Atom(name, self.arguments("predicate", name, self.lang.predicates[name], pos))
             term = self.finish_term(name, pos)
         else:
             if self.peek()[1] == "(":
-                arity, args = self.parse_args()
-                self.record_pred(name, arity, pos)
+                args = self.parse_args()
+                self.record("predicate", name, len(args), pos)
                 return Atom(name, args)
             if self.peek()[1] != "=":
-                self.record_pred(name, 0, pos)
+                self.record("predicate", name, 0, pos)
                 return Atom(name, ())
             term = Var(name)
         eq_kind, eq_val, eq_pos = self.peek()
@@ -547,23 +530,21 @@ class _Parser:
         self.next()
         return Equals(term, self.term())
 
-    def finish_atom(self, name: str, arity: int, pos: int) -> Formula:
-        if self.peek()[1] == "(":
-            got, args = self.parse_args()
-        else:
-            got, args = 0, ()
-        if got != arity:
-            raise ArityError(f"predicate {name!r} expects {arity} argument(s), got {got}", pos)
-        return Atom(name, args)
+    def arguments(self, kind: str, name: str, arity: int, pos: int) -> tuple[Term, ...]:
+        """The argument list, if any, of a declared symbol of that arity."""
+        args = self.parse_args() if self.peek()[1] == "(" else ()
+        if len(args) != arity:
+            raise ArityError(f"{kind} {name!r} expects {arity} argument(s), got {len(args)}", pos)
+        return args
 
-    def parse_args(self) -> tuple[int, tuple[Term, ...]]:
+    def parse_args(self) -> tuple[Term, ...]:
         self.expect("(")
         args = [self.nested(self.term)]
         while self.peek()[1] == ",":
             self.next()
             args.append(self.nested(self.term))
         self.expect(")")
-        return len(args), tuple(args)
+        return tuple(args)
 
     def term(self) -> Term:
         kind, name, pos = self.peek()
@@ -579,41 +560,30 @@ class _Parser:
             if name in self.lang.predicates or name in self.lang.algebra_constants:
                 raise ParseError(f"predicate {name!r} used in term position", pos)
             if name in self.lang.functions:
-                arity = self.lang.functions[name]
-                if self.peek()[1] == "(":
-                    got, args = self.parse_args()
-                else:
-                    got, args = 0, ()
-                if got != arity:
-                    raise ArityError(f"function {name!r} expects {arity} argument(s), got {got}", pos)
-                return App(name, args)
+                return App(name, self.arguments("function", name, self.lang.functions[name], pos))
             if self.peek()[1] == "(":
                 raise UnknownSymbolError(f"unknown function symbol {name!r}", pos)
             return Var(name)
         if self.peek()[1] == "(":
-            arity, args = self.parse_args()
-            self.record_func(name, arity, pos)
+            args = self.parse_args()
+            self.record("function", name, len(args), pos)
             return App(name, args)
         return Var(name)
 
-    def record_pred(self, name: str, arity: int, pos: int) -> None:
-        if name in self.inferred_funcs:
+    def record(self, kind: str, name: str, arity: int, pos: int) -> None:
+        """Infer ``name`` as a symbol of ``kind`` (predicate or function)."""
+        own, other = self.inferred_preds, self.inferred_funcs
+        if kind == "function":
+            own, other = other, own
+        if name in other:
             raise ParseError(f"{name!r} used both as predicate and function", pos)
-        seen = self.inferred_preds.get(name)
+        seen = own.get(name)
         if seen is not None and seen != arity:
-            raise ArityError(f"predicate {name!r} used with arities {seen} and {arity}", pos)
-        self.inferred_preds[name] = arity
-
-    def record_func(self, name: str, arity: int, pos: int) -> None:
-        if name in self.inferred_preds:
-            raise ParseError(f"{name!r} used both as predicate and function", pos)
-        seen = self.inferred_funcs.get(name)
-        if seen is not None and seen != arity:
-            raise ArityError(f"function {name!r} used with arities {seen} and {arity}", pos)
-        self.inferred_funcs[name] = arity
+            raise ArityError(f"{kind} {name!r} used with arities {seen} and {arity}", pos)
+        own[name] = arity
 
     def run(self) -> Formula:
-        f = self.formula()
+        f = self.implication()
         kind, val, pos = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected trailing input {val!r}", pos)
@@ -790,16 +760,6 @@ def ep_to_pp_disjunction(phi: Formula) -> list[Formula]:
     return [_rebuild(prefix, d, atoms) for d in _disjuncts(matrix, atoms)]
 
 
-def subformulas(phi: Formula) -> Iterator[Formula]:
-    """All subformulas, outermost first."""
-    yield phi
-    if isinstance(phi, (Exists, Forall)):
-        yield from subformulas(phi.body)
-    elif isinstance(phi, (StrongAnd, WeakAnd, Or, Implies)):
-        yield from subformulas(phi.left)
-        yield from subformulas(phi.right)
-
-
 def atoms_of(phi: Formula) -> list[Formula]:
-    """The atomic subformulas (atoms, equalities, truth constants), in order."""
-    return [f for f in subformulas(phi) if isinstance(f, (Atom, Equals, TruthConst))]
+    """The atomic subformulas (atoms, equalities, truth constants), level by level."""
+    return [f for level in _levels(phi) for f in level if isinstance(f, (Atom, Equals, TruthConst))]

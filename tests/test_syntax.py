@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -50,11 +51,11 @@ def test_parse_quantified_strong_conjunction():
 
 
 def test_arity_mismatch():
-    with pytest.raises(ArityError):
+    with pytest.raises(ArityError, match=re.escape("predicate 'P' expects 1 argument(s), got 2")):
         parse_formula("P(x, y)", LANG)
-    with pytest.raises(ArityError):
+    with pytest.raises(ArityError, match=re.escape("predicate 'Z' expects 0 argument(s), got 1")):
         parse_formula("Z(x)", LANG)
-    with pytest.raises(ArityError):
+    with pytest.raises(ArityError, match=re.escape("function 'f' expects 1 argument(s), got 2")):
         parse_formula("P(f(x, y))", LANG_F)
 
 
@@ -262,6 +263,24 @@ def test_substitute_capture_avoiding():
     assert g.body == Atom("T", (Var("y"), Var(g.var)))
 
 
+def test_substitute_avoids_constant_names():
+    # a binder renamed onto a constant's name would print, and parse back,
+    # as that constant
+    s = build(
+        make_lukasiewicz(3),
+        ("a", "b", "c"),
+        preds={"Q": (3, 0, {("a", "b", "c"): 2, ("b", "c", "c"): 1})},
+        consts={"y_2": "c"},
+    )
+    phi = parse_formula("E y . Q(x, y, y_2)", s.lang)
+    result = substitute(phi, "x", Var("y"))
+    assert result.var not in {"y", "y_2"}
+    for a in s.domain:
+        expected = ref_evaluate(s, phi, {"x": a})
+        assert ref_evaluate(s, result, {"y": a}) == expected
+        assert ref_evaluate(s, parse_formula(to_text(result), s.lang), {"y": a}) == expected
+
+
 def test_pp_normal_form_distributes():
     f = parse_formula("E x . P(x) & (Q(x) /\\ R(x))", LANG)
     nf = pp_normal_form(f)
@@ -416,7 +435,11 @@ def test_infer_formula():
     assert classify(phi) >= {"pp", "sentence"}
     phi2, lang2 = infer_formula("R(y)", lang)
     assert lang2.predicates["R"] == 1
-    with pytest.raises(ArityError):
+    with pytest.raises(ArityError, match="predicate 'P' used with arities 1 and 2"):
         infer_formula("P(x) & P(x, y)")
-    with pytest.raises(ParseError):
+    with pytest.raises(ArityError, match="function 'f' used with arities 1 and 2"):
+        infer_formula("P(f(x)) & P(f(x, y))")
+    with pytest.raises(ParseError, match="'P' used both as predicate and function"):
         infer_formula("P(x) & Q(P(x))")
+    with pytest.raises(ParseError, match="'f' used both as predicate and function"):
+        infer_formula("P(f(x)) & f(x)")
