@@ -14,6 +14,9 @@ The four checks are zero-tolerance logical assertions, not statistics:
   canonical products,
 * homomorphisms preserve top-valued existential positive formulas.
 
+The hom, EP and product suites evaluate the drawn formula once per tuple of
+each structure and check the laws as lookups in these value tables.
+
 Trials whose premise cannot be set up (no homomorphism between the drawn
 structures, or the drawn formula never reaches the top value in the source)
 are skipped and counted; a report whose effective trials fall below 30% of
@@ -27,7 +30,9 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .algebra import Chain, chain_to_dict, make_custom, make_godel, make_lukasiewicz
+from .algebra import (
+    MAX_LOADED_CHAIN_SIZE, Chain, chain_to_dict, make_custom, make_godel, make_lukasiewicz,
+)
 from .morphisms import find_homomorphisms
 from .products import direct_product, split_product_name, weak_product
 from .structures import (
@@ -88,9 +93,15 @@ class GenConfig:
     allow_implication: bool = False
 
     def __post_init__(self):
-        for name in ("max_chain", "max_domain", "max_depth", "trials"):
+        for name in ("max_domain", "max_depth", "trials"):
             if getattr(self, name) < 1:
                 raise HarnessError(f"{name} must be at least 1")
+        # The generators would silently reinterpret bounds outside these
+        # ranges, and a huge chain's tables would not fit in memory.
+        if self.max_domain > len(_DOMAIN_POOL):
+            raise HarnessError(f"max_domain must be at most {len(_DOMAIN_POOL)}")
+        if not 2 <= self.max_chain <= MAX_LOADED_CHAIN_SIZE:
+            raise HarnessError(f"max_chain must be between 2 and {MAX_LOADED_CHAIN_SIZE}")
 
 
 @dataclass
@@ -348,16 +359,20 @@ def gen_full_formula(rng: random.Random, lang: Language, free: list[str], max_de
 
 # --- check suites ---------------------------------------------------------------------
 
-def _premise_valuations(free: list[str], domain: tuple[str, ...]):
-    for tup in iproduct(domain, repeat=len(free)):
-        yield dict(zip(free, tup))
+def _values(struct: Structure, phi: Formula, free: list[str]) -> dict[tuple, int]:
+    """The value table of ``phi`` in ``struct``: each tuple of elements for
+    ``free``, in domain order, mapped to the formula's value there."""
+    return {
+        args: evaluate(struct, phi, dict(zip(free, args)))
+        for args in iproduct(struct.domain, repeat=len(free))
+    }
 
 
 def _preservation_suite(cfg: GenConfig, suite: str, mode: str) -> CheckReport:
-    """Shared core of the preservation suites: per trial, assert the
-    top-value transfer for every homomorphism between the drawn structures
-    and every tuple making the drawn formula top in the source.  A trial is
-    effective when at least one (homomorphism, tuple) premise fired."""
+    """Shared core of the preservation suites: per trial, compare the drawn
+    formula's value tables and assert that every homomorphism between the
+    drawn structures maps each tuple top in the source to one top in the
+    target.  A trial is effective when at least one premise tuple is top."""
     violations: list[dict] = []
     effective = 0
     for trial in range(cfg.trials):
@@ -371,26 +386,23 @@ def _preservation_suite(cfg: GenConfig, suite: str, mode: str) -> CheckReport:
             continue
         free = list(_FREE_POOL[: rng.randint(0, 2)])
         phi = gen_pp_formula(rng, lang, free, cfg.max_depth, mode)
-        fired = False
-        for valuation in _premise_valuations(free, m.domain):
-            if evaluate(m, phi, valuation) != chain.top:
-                continue
-            fired = True
-            for g in homs:
-                mapped = {v: g[e] for v, e in valuation.items()}
-                got = evaluate(n, phi, mapped)
-                if got != chain.top:
-                    violations.append(_record(
-                        cfg, suite, trial, chain,
-                        m=structure_to_dict(m),
-                        n=structure_to_dict(n),
-                        mapping=g,
-                        formula=to_text(phi),
-                        assignment=valuation,
-                        target_value=got,
-                    ))
-        if fired:
-            effective += 1
+        premises = [args for args, value in _values(m, phi, free).items() if value == chain.top]
+        if not premises:
+            continue
+        effective += 1
+        target = _values(n, phi, free)
+        for args, g in iproduct(premises, homs):
+            got = target[tuple(g[e] for e in args)]
+            if got != chain.top:
+                violations.append(_record(
+                    cfg, suite, trial, chain,
+                    m=structure_to_dict(m),
+                    n=structure_to_dict(n),
+                    mapping=g,
+                    formula=to_text(phi),
+                    assignment=dict(zip(free, args)),
+                    target_value=got,
+                ))
     return _finish(suite, cfg.trials, effective, violations)
 
 
@@ -423,18 +435,15 @@ def check_product_preservation(cfg: GenConfig) -> CheckReport:
             "min": direct_product(factors),
             "scrambled": weak_product(factors, policy="scrambled", seed=trial),
         }
+        tables = [_values(f, phi, free) for f in factors]
         fired = False
         for policy, prod in products.items():
-            for valuation in _premise_valuations(free, prod.domain):
-                in_product = evaluate(prod, phi, valuation) == chain.top
+            for args, value in _values(prod, phi, free).items():
+                in_product = value == chain.top
+                coords = [split_product_name(e) for e in args]
                 per_factor = all(
-                    evaluate(
-                        factors[i],
-                        phi,
-                        {v: split_product_name(e)[i] for v, e in valuation.items()},
-                    )
-                    == chain.top
-                    for i in range(count)
+                    table[tuple(c[i] for c in coords)] == chain.top
+                    for i, table in enumerate(tables)
                 )
                 if in_product or per_factor:
                     fired = True
@@ -444,7 +453,7 @@ def check_product_preservation(cfg: GenConfig) -> CheckReport:
                         policy=policy,
                         factors=[structure_to_dict(s) for s in factors],
                         formula=to_text(phi),
-                        assignment=valuation,
+                        assignment=dict(zip(free, args)),
                         product_top=in_product,
                         factors_top=per_factor,
                     ))
@@ -519,12 +528,11 @@ def find_below_top_counterexample(cfg: GenConfig) -> dict | None:
         g = homs[0]
         free = list(_FREE_POOL[: rng.randint(0, 2)])
         phi = gen_pp_formula(rng, lang, free, cfg.max_depth)
-        for valuation in _premise_valuations(free, m.domain):
-            source = evaluate(m, phi, valuation)
+        image = _values(n, phi, free)
+        for args, source in _values(m, phi, free).items():
             if source == chain.top or source == 0:
                 continue
-            mapped = {v: g[e] for v, e in valuation.items()}
-            target = evaluate(n, phi, mapped)
+            target = image[tuple(g[e] for e in args)]
             if target < source:
                 return _record(
                     cfg, "below-top", trial, chain,
@@ -532,7 +540,7 @@ def find_below_top_counterexample(cfg: GenConfig) -> dict | None:
                     n=structure_to_dict(n),
                     mapping=g,
                     formula=to_text(phi),
-                    assignment=valuation,
+                    assignment=dict(zip(free, args)),
                     source_value=source,
                     target_value=target,
                 )

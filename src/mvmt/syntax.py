@@ -721,7 +721,9 @@ def pp_normal_form(phi: Formula) -> Formula:
     """
     if PP not in classify(phi):
         raise FragmentError(f"not a pp formula: {to_text(phi)}")
-    return ep_to_pp_disjunction(phi)[0]
+    prefix, matrix = strip_exists_prefix(phi)
+    atoms: dict[str, Formula] = {}
+    return _rebuild(prefix, _disjuncts(matrix, atoms)[0], atoms)
 
 
 def is_pp_normal_shape(phi: Formula) -> bool:

@@ -207,6 +207,12 @@ def test_check_product_and_ep_suites(capsys):
     assert code == 0 and "suite ep" in out
 
 
+def test_check_rejects_bounds_the_generators_cannot_honour(capsys):
+    for bound in (["--max-domain", "9"], ["--max-chain", "1"], ["--max-chain", "257"]):
+        code, out, err = run(capsys, "check", "--suite", "hom", "--trials", "5", *bound)
+        assert code == 1 and out == "" and "error" in err
+
+
 def test_solve_ep_sentence_reports_value_and_witness(capsys, two_point_file):
     args = ("solve", "--structure", two_point_file, "--formula", "E x . Q(x) /\\ (P(x) \\/ Q(x))")
     code, out, _ = run(capsys, *args, "--json")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import product
 
 import pytest
@@ -6,6 +8,7 @@ from mvmt import (
     GenConfig,
     HarnessError,
     Language,
+    chain_to_dict,
     check_ep_preservation,
     check_hom_preservation,
     check_pp_theory_closure,
@@ -13,16 +16,20 @@ from mvmt import (
     enumerate_tnorm_tables,
     evaluate,
     find_below_top_counterexample,
+    find_homomorphisms,
     identity_mapping,
     infer_formula,
     make_custom,
     parse_formula,
     random_custom_chain,
     structure_from_dict,
+    structure_to_dict,
+    to_text,
 )
 from mvmt.harness import (
     FAIL,
     INCONCLUSIVE,
+    MAX_PRED_ARITY,
     PASS,
     gen_chain,
     gen_ep_formula,
@@ -33,12 +40,23 @@ from mvmt.harness import (
 )
 from mvmt.syntax import classify
 
+from support import ref_evaluate
+
 
 def test_gen_config_bounds():
-    with pytest.raises(HarnessError):
-        GenConfig(trials=0)
-    with pytest.raises(HarnessError):
-        GenConfig(max_domain=0)
+    # constructing a config builds nothing, so the large bounds are cheap here
+    for bad in (
+        {"trials": 0},
+        {"max_domain": 0},
+        {"max_domain": 9},
+        {"max_chain": 0},
+        {"max_chain": 1},
+        {"max_chain": 257},
+    ):
+        with pytest.raises(HarnessError):
+            GenConfig(**bad)
+    GenConfig(max_domain=8, max_chain=2)
+    GenConfig(max_domain=1, max_chain=256)
 
 
 def test_generators_respect_bounds_and_fragments():
@@ -97,6 +115,83 @@ def test_violations_are_replayable():
     assert evaluate(m, phi, v["assignment"]) == m.chain.top
     mapped = {var: v["mapping"][e] for var, e in v["assignment"].items()}
     assert evaluate(n, phi, mapped) == v["target_value"] != n.chain.top
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# Digests of the reports' JSON; they change only when a suite's output does.
+PINNED_REPORTS = {
+    ("hom", False): "4003e79a27b575f1323a7fd8d2f1d0e9663da51817742bc73c0362300320d248",
+    ("ep", False): "15b6cb44cbdbe5396b71d514efde4500c46ad3c5cbc84acd8f7f39e720ee006f",
+    ("product", False): "07268708572ee84dac6f6b5047c4fe981cb0b1d39da2bf95165c7cbf50f64003",
+    ("closure", False): "6950932740eaf7702dce9aaf02ef32261cf0e20b1ce9f02096b00eb1c2458ba0",
+    ("hom", True): "a1a5d4cd8ca001c72da3e79b58be36f11892febb8dd1da3fc8ab01dab34ffa7a",
+    ("ep", True): "b7fcedb56671375aa21cfcb5b131229f3f093f83da0a894e944b60a04a5f3015",
+    ("product", True): "07268708572ee84dac6f6b5047c4fe981cb0b1d39da2bf95165c7cbf50f64003",
+    ("closure", True): "6950932740eaf7702dce9aaf02ef32261cf0e20b1ce9f02096b00eb1c2458ba0",
+}
+
+
+@pytest.mark.parametrize("suite, implication", sorted(PINNED_REPORTS))
+def test_report_digests_are_pinned(suite, implication):
+    if suite == "closure":
+        lang = Language(predicates={"P": 1})
+        cfg = GenConfig(seed=7, trials=150, allow_implication=implication)
+        report = check_pp_theory_closure(cfg, [parse_formula("E x . P(x)", lang)], lang)
+    elif suite == "product":
+        cfg = GenConfig(seed=7, trials=150, max_domain=2, allow_implication=implication)
+        report = check_product_preservation(cfg)
+    else:
+        check = check_hom_preservation if suite == "hom" else check_ep_preservation
+        report = check(GenConfig(seed=7, trials=1000, allow_implication=implication))
+    assert _digest(report.to_dict()) == PINNED_REPORTS[suite, implication]
+
+
+def test_below_top_record_digest_is_pinned():
+    record = find_below_top_counterexample(GenConfig(seed=3, trials=500))
+    assert _digest(record) == "87fb9919abf24873c994ea6fff66e381d4d1014a8097b98eaf041f8745300466"
+
+
+@pytest.mark.parametrize("suite, mode", [("hom", "pp_imp"), ("ep", "ep_imp")])
+def test_violations_match_reference_per_homomorphism(suite, mode):
+    # Re-derive each trial and decide every (valuation, homomorphism) pair
+    # with the reference evaluator, one call per pair.
+    cfg = GenConfig(seed=7, trials=1000, allow_implication=True)
+    expected = []
+    for trial in range(cfg.trials):
+        rng = trial_rng(cfg.seed, suite, trial)
+        chain = gen_chain(rng, cfg.max_chain)
+        lang = gen_language(rng, MAX_PRED_ARITY)
+        m = gen_structure(rng, chain, lang, cfg.max_domain)
+        n = gen_structure(rng, chain, lang, cfg.max_domain)
+        homs = find_homomorphisms(m, n)
+        if not homs:
+            continue
+        free = ["u", "w"][: rng.randint(0, 2)]
+        phi = gen_pp_formula(rng, lang, free, cfg.max_depth, mode)
+        for args in product(m.domain, repeat=len(free)):
+            valuation = dict(zip(free, args))
+            if ref_evaluate(m, phi, valuation) != chain.top:
+                continue
+            for g in homs:
+                got = ref_evaluate(n, phi, {v: g[e] for v, e in valuation.items()})
+                if got != chain.top:
+                    expected.append({
+                        "trial": trial,
+                        "seed": f"{cfg.seed}:{suite}:{trial}",
+                        "chain": chain_to_dict(chain),
+                        "m": structure_to_dict(m),
+                        "n": structure_to_dict(n),
+                        "mapping": g,
+                        "formula": to_text(phi),
+                        "assignment": valuation,
+                        "target_value": got,
+                    })
+    check = check_hom_preservation if suite == "hom" else check_ep_preservation
+    assert expected
+    assert check(cfg).violations == expected
 
 
 def test_below_top_counterexample_exists():
