@@ -23,7 +23,6 @@ from .structures import (
     load_structure,
 )
 from .syntax import (
-    EXISTENTIAL_POSITIVE,
     FormulaError,
     Language,
     classify,
@@ -65,7 +64,7 @@ class _InputError(Exception):
 
 # Everything main reports with EXIT_USAGE; an _InputError gets EXIT_INPUT.
 _USAGE_ERRORS = (
-    UsageError, FormulaError, EvaluationError,
+    UsageError, FormulaError, EvaluationError, StructureError,
     morphisms.MorphismError, products.ProductError, harness.HarnessError,
 )
 
@@ -90,6 +89,14 @@ def _parse_assignments(pairs, domain):
     return out
 
 
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(payload, as_json, text_lines):
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -111,8 +118,6 @@ def cmd_eval(args) -> int:
 def cmd_solve(args) -> int:
     struct = _load(args.structure)
     phi = parse_formula(args.formula, struct.lang)
-    if EXISTENTIAL_POSITIVE not in classify(phi):
-        raise UsageError("solve handles pp and existential positive sentences only")
     result = solver.solve_ep(struct, phi)
     label = struct.chain.label(result.value)
     payload = {
@@ -147,8 +152,6 @@ def cmd_classify(args) -> int:
 def cmd_normalize(args) -> int:
     struct = _load(args.structure) if args.structure else None
     phi = _parse_with(struct, args.formula)
-    if EXISTENTIAL_POSITIVE not in classify(phi):
-        raise UsageError("normalize handles pp and existential positive formulas only")
     out = [to_text(d) for d in ep_to_pp_disjunction(phi)]
     _emit({"formulas": out}, args.json, out)
     return EXIT_OK
@@ -172,8 +175,7 @@ def cmd_product(args) -> int:
     result = products.weak_product(factors, policy=args.weak, seed=args.seed)
     text = dumps_structure(result)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -217,8 +219,7 @@ def cmd_check(args) -> int:
         report = harness.SUITES[args.suite](cfg)
     payload = report.to_dict()
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write(args.report, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _emit(
         payload,
         args.json,

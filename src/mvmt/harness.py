@@ -14,6 +14,11 @@ The four checks are zero-tolerance logical assertions, not statistics:
   canonical products,
 * homomorphisms preserve top-valued existential positive formulas.
 
+One recursive generator draws every random formula from a table of
+connective mixes: pp and existential positive matrices, each optionally
+with implication, and the unrestricted mix of every connective and both
+quantifiers.
+
 The hom, EP and product suites evaluate the drawn formula once per tuple of
 each structure and check the laws as lookups in these value tables.
 
@@ -28,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import count, product as iproduct
 
 from .algebra import (
     MAX_LOADED_CHAIN_SIZE, Chain, chain_to_dict, make_custom, make_godel, make_lukasiewicz,
@@ -65,6 +70,9 @@ from .syntax import (
 
 MIN_EFFECTIVE_RATIO = 0.3
 MAX_PRED_ARITY = 2  # largest predicate arity in generated languages
+# Deepest formula the suites draw: the "ep_imp" mix draws an atom at a third
+# of the nodes, so a drawn formula's size grows like (4/3)^depth.
+MAX_DEPTH = 16
 
 PASS = "pass"
 FAIL = "fail"
@@ -102,6 +110,8 @@ class GenConfig:
             raise HarnessError(f"max_domain must be at most {len(_DOMAIN_POOL)}")
         if not 2 <= self.max_chain <= MAX_LOADED_CHAIN_SIZE:
             raise HarnessError(f"max_chain must be between 2 and {MAX_LOADED_CHAIN_SIZE}")
+        if self.max_depth > MAX_DEPTH:
+            raise HarnessError(f"max_depth must be at most {MAX_DEPTH}")
 
 
 @dataclass
@@ -282,26 +292,39 @@ def _gen_atom(rng: random.Random, lang: Language, scope: list[str]) -> Formula:
     return Atom(pred, tuple(_gen_term(rng, lang, scope) for _ in range(arity)))
 
 
-def _gen_matrix(rng: random.Random, lang: Language, scope: list[str], depth: int, mode: str) -> Formula:
-    weights: list[tuple[object, float]] = [("atom", 0.4), (StrongAnd, 0.2), (WeakAnd, 0.2)]
-    if mode.startswith("ep"):
-        weights.append((Or, 0.1))
-    if mode.endswith("imp"):
-        # negative-control mode: implication heavy enough to surface quickly
-        weights.append((Implies, 0.3))
+# Each mix lists the formula generator's nodes and weights in draw order.  The
+# "_imp" mixes draw implication often enough for the negative control to fail
+# quickly; "full" exercises every connective and both quantifiers.
+_MIXES = {
+    "pp": ((Atom, 0.4), (StrongAnd, 0.2), (WeakAnd, 0.2)),
+    "ep": ((Atom, 0.4), (StrongAnd, 0.2), (WeakAnd, 0.2), (Or, 0.1)),
+    "pp_imp": ((Atom, 0.4), (StrongAnd, 0.2), (WeakAnd, 0.2), (Implies, 0.3)),
+    "ep_imp": ((Atom, 0.4), (StrongAnd, 0.2), (WeakAnd, 0.2), (Or, 0.1), (Implies, 0.3)),
+    "full": (
+        (Atom, 0.35), (StrongAnd, 0.15), (WeakAnd, 0.15), (Or, 0.10), (Implies, 0.10),
+        (Exists, 0.075), (Forall, 0.075),
+    ),
+}
+
+
+def _gen_formula(rng, lang: Language, scope: list[str], depth: int, mix, binders) -> Formula:
+    """A formula of at most ``depth`` connective levels over the nodes of
+    ``mix``; each quantifier binds the next ``b{k}`` from ``binders``."""
     if depth <= 0:
         return _gen_atom(rng, lang, scope)
-    total = sum(w for _, w in weights)
-    roll = rng.random() * total
-    for node, w in weights:
+    roll = rng.random() * sum(w for _, w in mix)
+    for node, w in mix:
         roll -= w
         if roll <= 0:
             break
-    if node == "atom":
+    if node is Atom:
         return _gen_atom(rng, lang, scope)
+    if node in (Exists, Forall):
+        name = f"b{next(binders)}"
+        return node(name, _gen_formula(rng, lang, scope + [name], depth - 1, mix, binders))
     return node(
-        _gen_matrix(rng, lang, scope, depth - 1, mode),
-        _gen_matrix(rng, lang, scope, depth - 1, mode),
+        _gen_formula(rng, lang, scope, depth - 1, mix, binders),
+        _gen_formula(rng, lang, scope, depth - 1, mix, binders),
     )
 
 
@@ -320,7 +343,7 @@ def gen_pp_formula(
     if bound_count == 0 and not free and not has_constants:
         bound_count = 1
     bound = [f"x{i}" for i in range(1, bound_count + 1)]
-    matrix = _gen_matrix(rng, lang, bound + list(free), max_depth, mode)
+    matrix = _gen_formula(rng, lang, bound + list(free), max_depth, _MIXES[mode], None)
     for name in reversed(bound):
         matrix = Exists(name, matrix)
     return matrix
@@ -333,28 +356,7 @@ def gen_ep_formula(rng: random.Random, lang: Language, free: list[str], max_dept
 def gen_full_formula(rng: random.Random, lang: Language, free: list[str], max_depth: int) -> Formula:
     """An unrestricted formula over every connective and both quantifiers,
     for exercising the evaluator itself."""
-    counter = [0]
-
-    def go(scope: list[str], depth: int) -> Formula:
-        if depth <= 0:
-            return _gen_atom(rng, lang, scope)
-        roll = rng.random()
-        if roll < 0.35:
-            return _gen_atom(rng, lang, scope)
-        if roll < 0.50:
-            return StrongAnd(go(scope, depth - 1), go(scope, depth - 1))
-        if roll < 0.65:
-            return WeakAnd(go(scope, depth - 1), go(scope, depth - 1))
-        if roll < 0.75:
-            return Or(go(scope, depth - 1), go(scope, depth - 1))
-        if roll < 0.85:
-            return Implies(go(scope, depth - 1), go(scope, depth - 1))
-        counter[0] += 1
-        name = f"b{counter[0]}"
-        node = Exists if roll < 0.925 else Forall
-        return node(name, go(scope + [name], depth - 1))
-
-    return go(list(free), max_depth)
+    return _gen_formula(rng, lang, list(free), max_depth, _MIXES["full"], count(1))
 
 
 # --- check suites ---------------------------------------------------------------------

@@ -46,10 +46,6 @@ class Violation:
     symbol: str
     args: tuple[str, ...]
 
-    def describe(self) -> str:
-        inside = ", ".join(self.args)
-        return f"{self.kind} condition fails at {self.symbol}({inside})"
-
 
 def _check_compatible(m: Structure, n: Structure) -> None:
     if m.chain != n.chain:

@@ -27,7 +27,6 @@ from .syntax import (
     StrongAnd,
     TruthConst,
     WeakAnd,
-    atoms_of,
     classify,
     free_vars,
     strip_exists_prefix,
@@ -73,16 +72,6 @@ def _top_tuple_count(struct: Structure, atom: Formula) -> int:
     if table.default == struct.chain.top:
         return total - len(table.entries) + listed_top
     return listed_top
-
-
-def _variable_order(struct: Structure, prefix: list[str], matrix: Formula) -> list[str]:
-    scores: dict[str, int] = {}
-    for atom in atoms_of(matrix):
-        support = _top_tuple_count(struct, atom)
-        for name in free_vars(atom):
-            scores[name] = min(scores.get(name, support), support)
-    unconstrained = float("inf")
-    return sorted(prefix, key=lambda v: (scores.get(v, unconstrained), v))
 
 
 def _backtrack(domain, order, constraints, top: int, floor: int, bound=None, uncut=frozenset()):
@@ -143,6 +132,9 @@ def _query(struct: Structure, phi: Formula, fragment: str, described: str):
     """Prefix, variable order, atom constraints, matrix bound and the
     indices of the atoms under a ``\\/``, from one walk over the matrix.
 
+    The order sorts the prefix by each variable's score, the least top
+    support among its atoms (unconstrained last), then by name.
+
     The walk appends each atom's constraint at the index that the bound
     reads the atom's value from.  The bound is monotone, so with untested
     atoms at top it bounds every completion of a partial assignment.
@@ -155,6 +147,7 @@ def _query(struct: Structure, phi: Formula, fragment: str, described: str):
     tnorm = struct.chain.tnorm
     constraints: list[tuple] = []
     under_or: set[int] = set()
+    scores: dict[str, int] = {}
 
     def build(f: Formula, in_or: bool):
         if isinstance(f, WeakAnd):
@@ -168,11 +161,16 @@ def _query(struct: Structure, phi: Formula, fragment: str, described: str):
             return lambda values: max(left(values), right(values))
         if in_or:
             under_or.add(len(constraints))
-        constraints.append((free_vars(f), _evaluate_atom, (struct, f)))
+        variables = free_vars(f)
+        support = _top_tuple_count(struct, f)
+        for name in variables:
+            scores[name] = min(scores.get(name, support), support)
+        constraints.append((variables, _evaluate_atom, (struct, f)))
         return itemgetter(len(constraints) - 1)
 
     bound = build(matrix, False)
-    return prefix, _variable_order(struct, prefix, matrix), constraints, bound, under_or
+    order = sorted(prefix, key=lambda v: (scores.get(v, float("inf")), v))
+    return prefix, order, constraints, bound, under_or
 
 
 def _solve(struct: Structure, phi: Formula, fragment: str, described: str) -> SolveResult:

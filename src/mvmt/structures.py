@@ -143,10 +143,6 @@ class Structure:
         for name, k in self.lang.algebra_constants.items():
             self.chain.check_element(k)
 
-    @property
-    def algebra_const_interp(self) -> dict[str, int]:
-        return dict(self.lang.algebra_constants)
-
 
 def eval_term(struct: Structure, term: Term, valuation: Valuation) -> str:
     """The element a closed-under-``valuation`` term denotes."""

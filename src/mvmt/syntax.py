@@ -25,7 +25,8 @@ function symbols, so no bound variable prints like a constant.  It rejects
 formulas nested more than :data:`MAX_NESTING` levels deep.  One walker
 renames binders for both :func:`rename_apart` and :func:`substitute`, which
 also keeps binders away from the substituted term's names, so substitution
-never captures.
+never captures.  One non-recursive walk over the levels of the syntax tree
+serves the nesting check, the function symbols and :func:`classify`.
 
 One expander implements the fragment normal forms: it distributes an EP
 matrix into canonical pp disjuncts, dropping duplicates as it goes, and
@@ -630,20 +631,6 @@ def strip_exists_prefix(phi: Formula) -> tuple[list[str], Formula]:
     return names, phi
 
 
-def _matrix_connectives(phi: Formula) -> set[type] | None:
-    """Connective node types of a quantifier-free formula, or None if it
-    contains a quantifier or an implication."""
-    if isinstance(phi, (Atom, Equals, TruthConst)):
-        return set()
-    if isinstance(phi, (Exists, Forall, Implies)):
-        return None
-    left = _matrix_connectives(phi.left)
-    right = _matrix_connectives(phi.right)
-    if left is None or right is None:
-        return None
-    return left | right | {type(phi)}
-
-
 def classify(phi: Formula) -> frozenset[str]:
     """Exact syntactic fragment membership of a formula.
 
@@ -655,8 +642,9 @@ def classify(phi: Formula) -> frozenset[str]:
     if not free_vars(phi):
         tags.add(SENTENCE)
     _, matrix = strip_exists_prefix(phi)
-    conns = _matrix_connectives(matrix)
-    if conns is not None:
+    conns = {type(n) for level in _levels(matrix) for n in level}
+    conns -= {Atom, Equals, TruthConst, Var, App}
+    if not conns & {Exists, Forall, Implies}:
         if conns <= {WeakAnd}:
             tags.add(WEDGE_PRIMITIVE)
         if conns <= {StrongAnd}:
@@ -761,7 +749,3 @@ def ep_to_pp_disjunction(phi: Formula) -> list[Formula]:
     atoms: dict[str, Formula] = {}
     return [_rebuild(prefix, d, atoms) for d in _disjuncts(matrix, atoms)]
 
-
-def atoms_of(phi: Formula) -> list[Formula]:
-    """The atomic subformulas (atoms, equalities, truth constants), level by level."""
-    return [f for level in _levels(phi) for f in level if isinstance(f, (Atom, Equals, TruthConst))]

@@ -79,9 +79,9 @@ def test_normalize_pp_and_ep(capsys):
 
 
 def test_normalize_rejects_other_fragments(capsys):
-    code, _, err = run(capsys, "normalize", "--formula", "P(x) -> Q(x)")
-    assert code == 1
-    assert "error" in err
+    code, out, err = run(capsys, "normalize", "--formula", "P(x) -> Q(x)")
+    assert code == 1 and out == ""
+    assert err == "error: not an existential positive formula: P(x) -> Q(x)\n"
 
 
 def test_normalize_deduplicates_disjuncts(capsys):
@@ -137,6 +137,32 @@ def test_diagram(capsys, two_point_file):
     lines = out.splitlines()
     assert "P(c_a)" in lines and "Q(c_a)" in lines and "c_b = c_b" in lines
     assert "P(c_b)" not in lines
+
+
+def _one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_diagram_of_a_product_file_is_a_usage_error(capsys, two_point_file, tmp_path):
+    out_path = tmp_path / "p.json"
+    assert run(capsys, "product", two_point_file, two_point_file, "--out", str(out_path))[0] == 0
+    code, out, err = run(capsys, "diagram", "--structure", str(out_path))
+    assert code == 1 and out == "" and _one_error_line(err)
+    assert "'(a|a)' does not yield a usable constant name" in err
+
+
+def test_product_out_into_a_missing_directory(capsys, two_point_file, tmp_path):
+    missing = tmp_path / "missing" / "p.json"
+    code, out, err = run(capsys, "product", two_point_file, "--out", str(missing))
+    assert code == 1 and out == "" and _one_error_line(err)
+    assert err.startswith(f"error: cannot write {missing}:")
+
+
+def test_check_report_into_a_missing_directory(capsys, tmp_path):
+    missing = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "check", "--suite", "hom", "--trials", "5", "--report", str(missing))
+    assert code == 1 and out == "" and _one_error_line(err)
+    assert err.startswith(f"error: cannot write {missing}:")
 
 
 def test_check_pass_and_report(capsys, tmp_path):
@@ -208,7 +234,9 @@ def test_check_product_and_ep_suites(capsys):
 
 
 def test_check_rejects_bounds_the_generators_cannot_honour(capsys):
-    for bound in (["--max-domain", "9"], ["--max-chain", "1"], ["--max-chain", "257"]):
+    for bound in (
+        ["--max-domain", "9"], ["--max-chain", "1"], ["--max-chain", "257"], ["--max-depth", "17"],
+    ):
         code, out, err = run(capsys, "check", "--suite", "hom", "--trials", "5", *bound)
         assert code == 1 and out == "" and "error" in err
 
@@ -230,6 +258,7 @@ def test_usage_errors(capsys, two_point_file):
     assert code == 1
     code, _, err = run(capsys, "solve", "--structure", two_point_file, "--formula", "A x . P(x)")
     assert code == 1
+    assert err == "error: not an existential positive formula: A x . P(x)\n"
     code, _, err = run(capsys, "nonsense")
     assert code == 1
 

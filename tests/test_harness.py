@@ -29,10 +29,12 @@ from mvmt import (
 from mvmt.harness import (
     FAIL,
     INCONCLUSIVE,
+    MAX_DEPTH,
     MAX_PRED_ARITY,
     PASS,
     gen_chain,
     gen_ep_formula,
+    gen_full_formula,
     gen_language,
     gen_pp_formula,
     gen_structure,
@@ -52,11 +54,14 @@ def test_gen_config_bounds():
         {"max_chain": 0},
         {"max_chain": 1},
         {"max_chain": 257},
+        {"max_depth": 0},
+        {"max_depth": MAX_DEPTH + 1},
     ):
         with pytest.raises(HarnessError):
             GenConfig(**bad)
-    GenConfig(max_domain=8, max_chain=2)
-    GenConfig(max_domain=1, max_chain=256)
+    assert MAX_DEPTH == 16
+    GenConfig(max_domain=8, max_chain=2, max_depth=MAX_DEPTH)
+    GenConfig(max_domain=1, max_chain=256, max_depth=1)
 
 
 def test_generators_respect_bounds_and_fragments():
@@ -147,6 +152,32 @@ def test_report_digests_are_pinned(suite, implication):
         check = check_hom_preservation if suite == "hom" else check_ep_preservation
         report = check(GenConfig(seed=7, trials=1000, allow_implication=implication))
     assert _digest(report.to_dict()) == PINNED_REPORTS[suite, implication]
+
+
+# Digests of 300 drawn formulas per connective mix; they change only when a
+# generator's draws do.
+PINNED_DRAWS = {
+    "pp": "a2d514147dfecad6cec0e92ff7069a26d90d79d4af44dfe713e35561f28f5279",
+    "ep": "73501419930a46badf397a2ecb065966b42c0100b7d50c63618113751bca24f6",
+    "pp_imp": "5e8cf42bb2b11d32d88854ed7d53a634c7de02418326a63b8f9e9c90f46ed1f1",
+    "ep_imp": "cd45bf673e73265294adc7ad5d7d0227dffe320c576378bc2ac61edf5d3b3a95",
+    "full": "e68369cb64ec2d2e944f6a22c6fe99191ee5361db1285a0fa21aea2df0a7b9e6",
+}
+
+
+@pytest.mark.parametrize("mix", sorted(PINNED_DRAWS))
+def test_formula_draws_are_pinned(mix):
+    texts = []
+    for t in range(300):
+        rng = trial_rng(9, f"draws-{mix}", t)
+        lang = gen_language(rng, MAX_PRED_ARITY)
+        free = ["u", "w"][: rng.randint(0, 2)]
+        if mix == "full":
+            phi = gen_full_formula(rng, lang, free, 5)
+        else:
+            phi = gen_pp_formula(rng, lang, free, 5, mix)
+        texts.append(to_text(phi))
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == PINNED_DRAWS[mix]
 
 
 def test_below_top_record_digest_is_pinned():

@@ -19,8 +19,8 @@ from mvmt.harness import (
     gen_structure,
     trial_rng,
 )
-from mvmt.solver import SolveResult, _variable_order
-from mvmt.syntax import strip_exists_prefix
+from mvmt.solver import SolveResult, _query
+from mvmt.syntax import EXISTENTIAL_POSITIVE, PP, strip_exists_prefix
 
 from support import build, ref_evaluate
 
@@ -93,8 +93,8 @@ def test_solve_pp_matches_evaluation_randomized():
         if w is not None:
             assert evaluate(s, matrix, w) == chain.top
         # both witnesses are the first qualifying assignment in search order:
-        # variables in _variable_order, each running through the domain
-        order = _variable_order(s, prefix, matrix)
+        # variables in _query's order, each running through the domain
+        order = _query(s, phi, PP, "a pp formula")[1]
         assignments = [dict(zip(order, image)) for image in product(s.domain, repeat=len(order))]
         values = [ref_evaluate(s, matrix, a) for a in assignments]
         first = assignments[values.index(r.value)]
@@ -138,9 +138,9 @@ def test_solve_ep_matches_evaluation_randomized():
         assert r.value == ref_evaluate(s, phi)
         assert r.decided_top == (r.value == chain.top)
         # the witness is the first assignment attaining the value, with the
-        # variables in _variable_order, each running through the domain
+        # variables in _query's order, each running through the domain
         prefix, matrix = strip_exists_prefix(phi)
-        order = _variable_order(s, prefix, matrix)
+        order = _query(s, phi, EXISTENTIAL_POSITIVE, "an existential positive formula")[1]
         assignments = [dict(zip(order, image)) for image in product(s.domain, repeat=len(order))]
         values = [ref_evaluate(s, matrix, a) for a in assignments]
         first = assignments[values.index(r.value)]

@@ -118,7 +118,7 @@ def test_expand_with_truth_constants():
     assert evaluate(st, parse_formula("d_3", st.lang)) == chain.top
     assert evaluate(st, parse_formula("d_0 -> P(x)", st.lang), {"x": "a"}) == chain.top
     assert expand_with_truth_constants(st) == st
-    assert st.algebra_const_interp == {f"d_{k}": k for k in range(4)}
+    assert st.lang.algebra_constants == {f"d_{k}": k for k in range(4)}
 
 
 def test_diagram_examples():
