@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import harness, morphisms, products, solver
 from .structures import (
@@ -89,9 +90,9 @@ def _parse_assignments(pairs, domain):
     return out
 
 
-def _write(path, text):
+def _write(path, text, mode="w"):
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
@@ -214,9 +215,14 @@ def cmd_check(args) -> int:
             phi, lang = infer_formula(ln, lang)
             axioms.append(phi)
         assert lang is not None
-        report = harness.check_pp_theory_closure(cfg, axioms, lang)
+        run = partial(harness.check_pp_theory_closure, cfg, axioms, lang)
     else:
-        report = harness.SUITES[args.suite](cfg)
+        run = partial(harness.SUITES[args.suite], cfg)
+    if args.report:
+        # Fail before the trials rather than after them; appending nothing
+        # leaves an existing file as it is until the report replaces it.
+        _write(args.report, "", "a")
+    report = run()
     payload = report.to_dict()
     if args.report:
         _write(args.report, json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -19,8 +19,11 @@ connective mixes: pp and existential positive matrices, each optionally
 with implication, and the unrestricted mix of every connective and both
 quantifiers.
 
-The hom, EP and product suites evaluate the drawn formula once per tuple of
-each structure and check the laws as lookups in these value tables.
+The hom, EP and product suites ask only whether the drawn formula is top at
+a tuple of elements.  They decide that with the solver's search kernel, one
+query per (structure, formula) reused for every tuple, and check the laws as
+lookups in these top-ness tables; ``evaluate`` gives only the target values
+of violation records and the values that the below-top search compares.
 
 Trials whose premise cannot be set up (no homomorphism between the drawn
 structures, or the drawn formula never reaches the top value in the source)
@@ -40,13 +43,8 @@ from .algebra import (
 )
 from .morphisms import find_homomorphisms
 from .products import direct_product, split_product_name, weak_product
-from .structures import (
-    PredTable,
-    Structure,
-    evaluate,
-    is_model,
-    structure_to_dict,
-)
+from .solver import decide_pp_top, top_decider
+from .structures import PredTable, Structure, evaluate, structure_to_dict
 from .syntax import (
     App,
     Atom,
@@ -63,6 +61,7 @@ from .syntax import (
     Var,
     WeakAnd,
     classify,
+    strip_exists_prefix,
     to_text,
     PP,
     SENTENCE,
@@ -73,6 +72,10 @@ MAX_PRED_ARITY = 2  # largest predicate arity in generated languages
 # Deepest formula the suites draw: the "ep_imp" mix draws an atom at a third
 # of the nodes, so a drawn formula's size grows like (4/3)^depth.
 MAX_DEPTH = 16
+# Formulas whose prefix ranges over at most this many assignments are decided
+# by one evaluate call per tuple: there, building the search costs more than
+# it saves.
+SMALL_SPACE = 8
 
 PASS = "pass"
 FAIL = "fail"
@@ -370,11 +373,32 @@ def _values(struct: Structure, phi: Formula, free: list[str]) -> dict[tuple, int
     }
 
 
+def _top_test(struct: Structure, phi: Formula, free: list[str]):
+    """A function from a tuple of elements for ``free`` to whether ``phi``
+    takes the top value there: the solver's top decider, or ``evaluate``
+    when the prefix ranges over at most ``SMALL_SPACE`` assignments."""
+    top = struct.chain.top
+    prefix, _ = strip_exists_prefix(phi)
+    if len(struct.domain) ** len(prefix) <= SMALL_SPACE:
+        return lambda args: evaluate(struct, phi, dict(zip(free, args))) == top
+    decide = top_decider(struct, phi, free)
+    return lambda args: decide(args) is not None
+
+
+def _tops(struct: Structure, phi: Formula, free: list[str]) -> dict[tuple, bool]:
+    """The top-ness table of ``phi`` in ``struct``: each tuple of elements
+    for ``free``, in domain order, mapped to whether the formula is top."""
+    is_top = _top_test(struct, phi, free)
+    return {args: is_top(args) for args in iproduct(struct.domain, repeat=len(free))}
+
+
 def _preservation_suite(cfg: GenConfig, suite: str, mode: str) -> CheckReport:
-    """Shared core of the preservation suites: per trial, compare the drawn
-    formula's value tables and assert that every homomorphism between the
-    drawn structures maps each tuple top in the source to one top in the
-    target.  A trial is effective when at least one premise tuple is top."""
+    """Shared core of the preservation suites: per trial, assert that every
+    homomorphism between the drawn structures maps each tuple at which the
+    drawn formula is top in the source to one at which it is top in the
+    target.  Each image tuple is decided once, and evaluated only for the
+    record of a violation.  A trial is effective when at least one premise
+    tuple is top."""
     violations: list[dict] = []
     effective = 0
     for trial in range(cfg.trials):
@@ -388,14 +412,16 @@ def _preservation_suite(cfg: GenConfig, suite: str, mode: str) -> CheckReport:
             continue
         free = list(_FREE_POOL[: rng.randint(0, 2)])
         phi = gen_pp_formula(rng, lang, free, cfg.max_depth, mode)
-        premises = [args for args, value in _values(m, phi, free).items() if value == chain.top]
+        premises = [args for args, top in _tops(m, phi, free).items() if top]
         if not premises:
             continue
         effective += 1
-        target = _values(n, phi, free)
+        is_top, decided = _top_test(n, phi, free), {}
         for args, g in iproduct(premises, homs):
-            got = target[tuple(g[e] for e in args)]
-            if got != chain.top:
+            image = tuple(g[e] for e in args)
+            if image not in decided:
+                decided[image] = is_top(image)
+            if not decided[image]:
                 violations.append(_record(
                     cfg, suite, trial, chain,
                     m=structure_to_dict(m),
@@ -403,7 +429,7 @@ def _preservation_suite(cfg: GenConfig, suite: str, mode: str) -> CheckReport:
                     mapping=g,
                     formula=to_text(phi),
                     assignment=dict(zip(free, args)),
-                    target_value=got,
+                    target_value=evaluate(n, phi, dict(zip(free, image))),
                 ))
     return _finish(suite, cfg.trials, effective, violations)
 
@@ -437,15 +463,13 @@ def check_product_preservation(cfg: GenConfig) -> CheckReport:
             "min": direct_product(factors),
             "scrambled": weak_product(factors, policy="scrambled", seed=trial),
         }
-        tables = [_values(f, phi, free) for f in factors]
+        tables = [_tops(f, phi, free) for f in factors]
         fired = False
         for policy, prod in products.items():
-            for args, value in _values(prod, phi, free).items():
-                in_product = value == chain.top
+            for args, in_product in _tops(prod, phi, free).items():
                 coords = [split_product_name(e) for e in args]
                 per_factor = all(
-                    table[tuple(c[i] for c in coords)] == chain.top
-                    for i, table in enumerate(tables)
+                    table[tuple(c[i] for c in coords)] for i, table in enumerate(tables)
                 )
                 if in_product or per_factor:
                     fired = True
@@ -462,6 +486,10 @@ def check_product_preservation(cfg: GenConfig) -> CheckReport:
         if fired:
             effective += 1
     return _finish("product", cfg.trials, effective, violations)
+
+
+def _models(struct: Structure, axioms: list[Formula]) -> bool:
+    return all(decide_pp_top(struct, phi) is not None for phi in axioms)
 
 
 def check_pp_theory_closure(cfg: GenConfig, axioms: list[Formula], lang: Language) -> CheckReport:
@@ -482,11 +510,11 @@ def check_pp_theory_closure(cfg: GenConfig, axioms: list[Formula], lang: Languag
         first = gen_structure(rng, chain, lang, cfg.max_domain)
         second = gen_structure(rng, chain, lang, cfg.max_domain)
         fired = False
-        drawn = [(first, is_model(first, axioms)), (second, is_model(second, axioms))]
+        drawn = [(first, _models(first, axioms)), (second, _models(second, axioms))]
         if all(model for _, model in drawn):
             prod = direct_product([first, second])
             fired = True
-            if not is_model(prod, axioms):
+            if not _models(prod, axioms):
                 violations.append(_record(
                     cfg, "closure", trial, chain,
                     kind="product",

@@ -3,13 +3,19 @@
 A pp sentence is a constraint instance: the existential prefix lists the
 variables, the matrix atoms the constraints.  One backtracking kernel,
 :func:`_backtrack`, searches such instances above a value floor:
-:func:`solve_pp` as branch and bound, :func:`decide_pp_top` with the floor
-just below top (a pp matrix is top exactly when every atom is), and
+:func:`solve_pp` as branch and bound, and
 :func:`mvmt.morphisms.find_homomorphisms` on the canonical query of the
 source structure, since finding a homomorphism is the same problem (Chandra
 and Merlin).  An existential positive sentence is searched the same way by
 :func:`solve_ep`: its matrix bound takes ``\\/`` as the max of its children,
 so no expansion into pp disjuncts is needed.
+
+:func:`top_decider` runs the kernel with the floor just below top (a pp
+matrix is top exactly when every atom is) on a prefix-form formula with
+free variables, once per tuple of their values; the check suites read
+top-ness from it, and :func:`decide_pp_top` is its sentence case.  Leaves
+of the matrix other than atoms, such as implications, are valued by
+:func:`evaluate`.
 """
 
 from __future__ import annotations
@@ -74,11 +80,15 @@ def _top_tuple_count(struct: Structure, atom: Formula) -> int:
     return listed_top
 
 
-def _backtrack(domain, order, constraints, top: int, floor: int, bound=None, uncut=frozenset()):
+def _backtrack(
+    domain, order, constraints, top: int, floor: int, bound=None, uncut=frozenset(), env=None,
+):
     """Assign the variables in ``order`` to ``domain`` elements, both in
-    order, depth first.  ``constraints`` holds ``(variables, test, data)``
+    order, depth first, starting from ``env`` (the values of the variables
+    outside ``order``).  ``constraints`` holds ``(variables, test, data)``
     triples; ``test(env, data)`` is the constraint's chain value, called only
-    at the depth where the last of its ``variables`` is assigned.  A branch
+    at the depth where the last of its ``variables`` in ``order`` is
+    assigned, or at depth 0 when it has none there.  A branch
     is cut when a tested value is at most ``floor`` (unless the constraint's
     index is in ``uncut``), or when ``bound(values)`` is; ``values`` holds
     the constraint values, top while untested.
@@ -90,10 +100,10 @@ def _backtrack(domain, order, constraints, top: int, floor: int, bound=None, unc
     depth_of = {v: depth for depth, v in enumerate(order, 1)}
     checks: list[list] = [[] for _ in range(len(order) + 1)]
     for index, (variables, test, data) in enumerate(constraints):
-        at = max([depth_of[v] for v in variables], default=0)
+        at = max([depth_of.get(v, 0) for v in variables], default=0)
         checks[at].append((index, test, data, index not in uncut))
     values = [top] * len(constraints)
-    env: dict = {}
+    env = {} if env is None else env
 
     def admissible(depth: int) -> bool:
         for index, test, data, cuts in checks[depth]:
@@ -123,26 +133,28 @@ def _backtrack(domain, order, constraints, top: int, floor: int, bound=None, unc
                 depth += 1
 
 
-def _evaluate_atom(env, data) -> int:
-    struct, atom = data
-    return evaluate(struct, atom, env)
+def _evaluate_leaf(env, data) -> int:
+    struct, leaf = data
+    return evaluate(struct, leaf, env)
 
 
-def _query(struct: Structure, phi: Formula, fragment: str, described: str):
-    """Prefix, variable order, atom constraints, matrix bound and the
-    indices of the atoms under a ``\\/``, from one walk over the matrix.
+def _query(struct: Structure, phi: Formula):
+    """Prefix, variable order, leaf constraints, matrix bound and the
+    indices of the leaves under a ``\\/``, from one walk over the matrix.
 
-    The order sorts the prefix by each variable's score, the least top
-    support among its atoms (unconstrained last), then by name.
+    The matrix is read as ``&``, ``/\\`` and ``\\/`` over leaves: atoms,
+    and any other subformula (such as an implication), which
+    :func:`evaluate` values.  The order sorts the prefix by each variable's
+    score, the least top support among its atoms (unconstrained last, and
+    other leaves do not score), then by name.
 
-    The walk appends each atom's constraint at the index that the bound
-    reads the atom's value from.  The bound is monotone, so with untested
-    atoms at top it bounds every completion of a partial assignment.
-    Outside any ``\\/`` the matrix is at most each atom's value, so one atom
+    The walk appends each leaf's constraint at the index that the bound
+    reads the leaf's value from.  The bound is monotone, so with untested
+    leaves at top it bounds every completion of a partial assignment.
+    Outside any ``\\/`` the matrix is at most each leaf's value, so one leaf
     at or below the floor cuts the branch; under a ``\\/`` another disjunct
     may still exceed it.
     """
-    _require_sentence(phi, fragment, described)
     prefix, matrix = strip_exists_prefix(phi)
     tnorm = struct.chain.tnorm
     constraints: list[tuple] = []
@@ -162,10 +174,11 @@ def _query(struct: Structure, phi: Formula, fragment: str, described: str):
         if in_or:
             under_or.add(len(constraints))
         variables = free_vars(f)
-        support = _top_tuple_count(struct, f)
-        for name in variables:
-            scores[name] = min(scores.get(name, support), support)
-        constraints.append((variables, _evaluate_atom, (struct, f)))
+        if isinstance(f, (Atom, Equals, TruthConst)):
+            support = _top_tuple_count(struct, f)
+            for name in variables:
+                scores[name] = min(scores.get(name, support), support)
+        constraints.append((variables, _evaluate_leaf, (struct, f)))
         return itemgetter(len(constraints) - 1)
 
     bound = build(matrix, False)
@@ -175,7 +188,8 @@ def _query(struct: Structure, phi: Formula, fragment: str, described: str):
 
 def _solve(struct: Structure, phi: Formula, fragment: str, described: str) -> SolveResult:
     """The branch and bound behind :func:`solve_pp` and :func:`solve_ep`."""
-    prefix, order, constraints, bound, uncut = _query(struct, phi, fragment, described)
+    _require_sentence(phi, fragment, described)
+    prefix, order, constraints, bound, uncut = _query(struct, phi)
     top = struct.chain.top
     best, witness = -1, {}
     for env, values in _backtrack(struct.domain, order, constraints, top, -1, bound, uncut):
@@ -195,17 +209,38 @@ def solve_pp(struct: Structure, phi: Formula) -> SolveResult:
     return _solve(struct, phi, PP, "a pp formula")
 
 
-def decide_pp_top(struct: Structure, phi: Formula) -> dict[str, str] | None:
-    """Witness making a pp sentence take value top, or None.
+def top_decider(struct: Structure, phi: Formula, free=()):
+    """A function from a tuple of elements for the variables ``free`` to
+    the first prefix assignment, in search order, under which ``phi`` takes
+    the value top there, or None when there is none.
 
-    Prunes a branch as soon as any fully instantiated atom falls below top,
-    without computing exact values.
+    The query is built once and searched again for each tuple, with the
+    floor just below top: a branch is cut at the first leaf outside any
+    ``\\/`` that is not top.  Only a matrix with a ``\\/`` needs the bound.
+    A prefix variable named in ``free`` is a :class:`FragmentError`.
     """
-    prefix, order, constraints, _, _ = _query(struct, phi, PP, "a pp formula")
-    top = struct.chain.top
-    for env, _ in _backtrack(struct.domain, order, constraints, top, top - 1):
-        return {v: env[v] for v in prefix}
-    return None
+    prefix, order, constraints, bound, uncut = _query(struct, phi)
+    shadowed = sorted(set(prefix) & set(free))
+    if shadowed:
+        raise FragmentError(f"prefix variables {shadowed} shadow free variables")
+    domain, top = struct.domain, struct.chain.top
+    if not uncut:
+        bound = None
+
+    def decide(args) -> dict[str, str] | None:
+        start = dict(zip(free, args))
+        for env, _ in _backtrack(domain, order, constraints, top, top - 1, bound, uncut, start):
+            return {v: env[v] for v in prefix}
+        return None
+
+    return decide
+
+
+def decide_pp_top(struct: Structure, phi: Formula) -> dict[str, str] | None:
+    """Witness making a pp sentence take value top, or None: the search of
+    :func:`top_decider` with no free variables."""
+    _require_sentence(phi, PP, "a pp formula")
+    return top_decider(struct, phi)(())
 
 
 def solve_ep(struct: Structure, phi: Formula) -> SolveResult:

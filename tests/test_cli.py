@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mvmt import loads_structure, make_lukasiewicz, save_structure
+from mvmt import harness, loads_structure, make_lukasiewicz, save_structure
 from mvmt.cli import main
 
 from support import build
@@ -163,6 +163,30 @@ def test_check_report_into_a_missing_directory(capsys, tmp_path):
     code, out, err = run(capsys, "check", "--suite", "hom", "--trials", "5", "--report", str(missing))
     assert code == 1 and out == "" and _one_error_line(err)
     assert err.startswith(f"error: cannot write {missing}:")
+
+
+@pytest.mark.parametrize("suite", ["hom", "closure"])
+def test_check_report_path_is_checked_before_any_trial(capsys, tmp_path, monkeypatch, suite):
+    def trials(*args):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setitem(harness.SUITES, "hom", trials)
+    monkeypatch.setattr(harness, "check_pp_theory_closure", trials)
+    missing = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "check", "--suite", suite, "--report", str(missing))
+    assert code == 1 and out == "" and _one_error_line(err)
+    assert err.startswith(f"error: cannot write {missing}:")
+
+
+def test_check_report_replaces_an_existing_file(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    report.write_text("x" * 10000)
+    code, _, _ = run(capsys, "check", "--suite", "hom", "--trials", "5", "--report", str(report))
+    assert code == 0
+    fresh = tmp_path / "fresh.json"
+    run(capsys, "check", "--suite", "hom", "--trials", "5", "--report", str(fresh))
+    assert report.read_bytes() == fresh.read_bytes()
+    assert json.loads(report.read_text())["trials"] == 5
 
 
 def test_check_pass_and_report(capsys, tmp_path):

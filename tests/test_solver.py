@@ -11,7 +11,9 @@ from mvmt import (
     solve_ep,
     solve_pp,
 )
+from mvmt import harness
 from mvmt.harness import (
+    SMALL_SPACE,
     gen_chain,
     gen_ep_formula,
     gen_language,
@@ -19,8 +21,8 @@ from mvmt.harness import (
     gen_structure,
     trial_rng,
 )
-from mvmt.solver import SolveResult, _query
-from mvmt.syntax import EXISTENTIAL_POSITIVE, PP, strip_exists_prefix
+from mvmt.solver import SolveResult, _query, top_decider
+from mvmt.syntax import Implies, Or, _levels, free_vars, strip_exists_prefix, to_text
 
 from support import build, ref_evaluate
 
@@ -94,7 +96,7 @@ def test_solve_pp_matches_evaluation_randomized():
             assert evaluate(s, matrix, w) == chain.top
         # both witnesses are the first qualifying assignment in search order:
         # variables in _query's order, each running through the domain
-        order = _query(s, phi, PP, "a pp formula")[1]
+        order = _query(s, phi)[1]
         assignments = [dict(zip(order, image)) for image in product(s.domain, repeat=len(order))]
         values = [ref_evaluate(s, matrix, a) for a in assignments]
         first = assignments[values.index(r.value)]
@@ -140,7 +142,7 @@ def test_solve_ep_matches_evaluation_randomized():
         # the witness is the first assignment attaining the value, with the
         # variables in _query's order, each running through the domain
         prefix, matrix = strip_exists_prefix(phi)
-        order = _query(s, phi, EXISTENTIAL_POSITIVE, "an existential positive formula")[1]
+        order = _query(s, phi)[1]
         assignments = [dict(zip(order, image)) for image in product(s.domain, repeat=len(order))]
         values = [ref_evaluate(s, matrix, a) for a in assignments]
         first = assignments[values.index(r.value)]
@@ -168,3 +170,61 @@ def test_deterministic_witness():
     r2 = solve_pp(s, phi)
     assert r1 == r2
     assert r1.witness == {"x": "a", "y": "a"}
+
+
+def test_top_decider_matches_reference_randomized():
+    # Every tuple of every drawn (structure, formula) pair, over the four
+    # prefix-form mixes, with zero to two free variables.
+    triples, below, seen = 0, 0, set()
+    for t in range(500):
+        rng = trial_rng(71, "decider", t)
+        chain = gen_chain(rng, 4)
+        lang = gen_language(rng, 2)
+        s = gen_structure(rng, chain, lang, 3)
+        free = ["u", "w"][: rng.randint(0, 2)]
+        mode = ("pp", "ep", "pp_imp", "ep_imp")[t % 4]
+        phi = gen_pp_formula(rng, lang, free, 4, mode)
+        prefix, matrix = strip_exists_prefix(phi)
+        seen |= {type(node) for level in _levels(matrix) for node in level} & {Or, Implies}
+        decide = top_decider(s, phi, free)
+        for args in product(s.domain, repeat=len(free)):
+            valuation = dict(zip(free, args))
+            expected = ref_evaluate(s, phi, valuation)
+            witness = decide(args)
+            assert (witness is not None) == (expected == chain.top), (to_text(phi), valuation)
+            if witness is not None:
+                assert set(witness) == set(prefix)
+                assert ref_evaluate(s, matrix, {**valuation, **witness}) == chain.top
+            triples += 1
+            below += expected == chain.top - 1
+            seen.add(len(free))
+    assert triples >= 1000 and below >= 100
+    assert seen >= {Or, Implies, 0, 1, 2}
+
+
+def test_top_decider_rejects_a_prefix_variable_shadowing_a_free_one():
+    s = two_point()
+    phi = parse_formula("E u . P(u) & Q(w)", s.lang)
+    assert free_vars(phi) == {"w"}
+    with pytest.raises(FragmentError, match="shadow"):
+        top_decider(s, phi, ["u", "w"])
+    assert top_decider(s, phi, ["w"])(("a",)) is None
+    assert top_decider(s, phi, ["w"])(("b",)) == {"u": "a"}
+
+
+def test_check_suites_search_above_the_small_space(monkeypatch):
+    # With two elements, a 3-variable prefix has 8 assignments and a
+    # 4-variable prefix 16: the first is evaluated, the second searched.
+    s = build(CHAIN3, ("a", "b"), preds={"R": (2, 2, {("a", "b"): 1, ("b", "b"): 0})})
+    small = parse_formula("E x y z . R(u, x) & R(x, y) & R(y, z) & R(z, u)", s.lang)
+    large = parse_formula("E x y z v . R(u, x) & R(x, y) & R(y, z) & R(z, v) & R(v, u)", s.lang)
+    assert 2 ** 3 <= SMALL_SPACE < 2 ** 4
+
+    def refuse(*args):
+        raise AssertionError("wrong path")
+
+    for phi, patched in ((small, "top_decider"), (large, "evaluate")):
+        with monkeypatch.context() as m:
+            m.setattr(harness, patched, refuse)
+            tops = harness._tops(s, phi, ["u"])
+        assert tops == {(e,): ref_evaluate(s, phi, {"u": e}) == 2 for e in s.domain}
