@@ -152,20 +152,34 @@ def make_custom(n: int, table) -> Chain:
     return Chain(size=n, tnorm=tup, residuum=_derive_residuum(n, tup), labels=_rational_labels(n))
 
 
-def make_lukasiewicz(n: int) -> Chain:
-    """The n-element chain with tnorm(i, j) = max(0, i + j - (n-1))."""
+def _lukasiewicz_table(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(max(0, i + j - (n - 1)) for j in range(n)) for i in range(n))
+
+
+def _godel_table(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(min(i, j) for j in range(n)) for i in range(n))
+
+
+# The stock conjunction tables by kind.  At size 2 they coincide, and the
+# first kind listed names the chain.
+_STOCK_TABLES = {"lukasiewicz": _lukasiewicz_table, "godel": _godel_table}
+
+
+def _make_stock(n: int, kind: str) -> Chain:
     if not isinstance(n, int) or n < 2:
         raise InvalidSizeError(f"need n >= 2 for distinct falsity and truth, got {n!r}")
-    table = tuple(tuple(max(0, i + j - (n - 1)) for j in range(n)) for i in range(n))
+    table = _STOCK_TABLES[kind](n)
     return Chain(size=n, tnorm=table, residuum=_derive_residuum(n, table), labels=_rational_labels(n))
+
+
+def make_lukasiewicz(n: int) -> Chain:
+    """The n-element chain with tnorm(i, j) = max(0, i + j - (n-1))."""
+    return _make_stock(n, "lukasiewicz")
 
 
 def make_godel(n: int) -> Chain:
     """The n-element chain with tnorm(i, j) = min(i, j)."""
-    if not isinstance(n, int) or n < 2:
-        raise InvalidSizeError(f"need n >= 2 for distinct falsity and truth, got {n!r}")
-    table = tuple(tuple(min(i, j) for j in range(n)) for i in range(n))
-    return Chain(size=n, tnorm=table, residuum=_derive_residuum(n, table), labels=_rational_labels(n))
+    return _make_stock(n, "godel")
 
 
 def tnorm(chain: Chain, x: int, y: int) -> int:
@@ -188,10 +202,9 @@ def coatom(chain: Chain) -> int:
 def chain_kind(chain: Chain) -> str:
     """Classify a chain for serialization: "lukasiewicz", "godel" or "custom"."""
     if chain.size >= 2:
-        if chain.tnorm == make_lukasiewicz(chain.size).tnorm:
-            return "lukasiewicz"
-        if chain.tnorm == make_godel(chain.size).tnorm:
-            return "godel"
+        for kind, table in _STOCK_TABLES.items():
+            if chain.tnorm == table(chain.size):
+                return kind
     return "custom"
 
 

@@ -24,6 +24,7 @@ a tuple of elements.  They decide that with the solver's search kernel, one
 query per (structure, formula) reused for every tuple, and check the laws as
 lookups in these top-ness tables; ``evaluate`` gives only the target values
 of violation records and the values that the below-top search compares.
+The closure suite decides each axiom in each structure the same way.
 
 Trials whose premise cannot be set up (no homomorphism between the drawn
 structures, or the drawn formula never reaches the top value in the source)
@@ -43,7 +44,7 @@ from .algebra import (
 )
 from .morphisms import find_homomorphisms
 from .products import direct_product, split_product_name, weak_product
-from .solver import decide_pp_top, top_decider
+from .solver import top_decider
 from .structures import PredTable, Structure, evaluate, structure_to_dict
 from .syntax import (
     App,
@@ -489,7 +490,7 @@ def check_product_preservation(cfg: GenConfig) -> CheckReport:
 
 
 def _models(struct: Structure, axioms: list[Formula]) -> bool:
-    return all(decide_pp_top(struct, phi) is not None for phi in axioms)
+    return all(_top_test(struct, phi, [])(()) for phi in axioms)
 
 
 def check_pp_theory_closure(cfg: GenConfig, axioms: list[Formula], lang: Language) -> CheckReport:

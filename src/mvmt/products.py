@@ -9,6 +9,9 @@ it is top in every coordinate, and values below top are unconstrained.  Two
 policies realize the family here: "min" (the canonical product itself) and
 "scrambled" (a seed-determined value below top wherever some coordinate is
 below top).
+
+One loop over cells fills every table.  A cell holds one coordinate tuple
+per argument; its transpose gives each factor its own argument tuple.
 """
 
 from __future__ import annotations
@@ -26,10 +29,6 @@ POLICIES = ("min", "scrambled")
 
 class ProductError(ValueError):
     pass
-
-
-def _compose_name(parts: Sequence[str]) -> str:
-    return "(" + SEPARATOR.join(parts) + ")"
 
 
 def split_product_name(name: str) -> list[str] | None:
@@ -75,62 +74,39 @@ def _check_factors(factors: Sequence[Structure]) -> None:
                 raise ProductError(f"element name {e!r} collides with product naming")
 
 
-def _scrambled_value(seed: int, pred: str, name_tuple: tuple[str, ...], top: int) -> int:
-    rng = random.Random(f"{seed}:{pred}:{','.join(name_tuple)}")
-    return rng.randrange(top)
-
-
 def weak_product(factors: Sequence[Structure], policy: str = "min", seed: int = 0) -> Structure:
     """A member of the weak-product family of ``factors`` under ``policy``."""
     if policy not in POLICIES:
         raise ProductError(f"unknown policy {policy!r}, pick one of {POLICIES}")
     _check_factors(factors)
     first = factors[0]
-    chain = first.chain
-    top = chain.top
-
+    lang, top = first.lang, first.chain.top
     tuples = list(iproduct(*(s.domain for s in factors)))
-    names = {t: _compose_name(t) for t in tuples}
-    domain = tuple(names[t] for t in tuples)
-    component = {names[t]: t for t in tuples}
-
-    functions: dict[str, dict[tuple[str, ...], str]] = {}
-    for fname, arity in first.lang.functions.items():
-        if arity == 0:
-            continue
-        table: dict[tuple[str, ...], str] = {}
-        for args in iproduct(domain, repeat=arity):
-            result = tuple(
-                s.functions[fname][tuple(component[a][i] for a in args)]
-                for i, s in enumerate(factors)
-            )
-            table[args] = names[result]
-        functions[fname] = table
-    constants = {
-        cname: names[tuple(s.constants[cname] for s in factors)] for cname in first.constants
-    }
-
-    predicates: dict[str, PredTable] = {}
-    for pname, arity in first.lang.predicates.items():
-        entries: dict[tuple[str, ...], int] = {}
-        for args in iproduct(domain, repeat=arity):
-            coord_values = [
-                s.predicates[pname].value(tuple(component[a][i] for a in args))
-                for i, s in enumerate(factors)
-            ]
-            value = min(coord_values)
-            if policy == "scrambled" and value != top:
-                value = _scrambled_value(seed, pname, args, top)
-            entries[args] = value
-        predicates[pname] = PredTable(arity=arity, default=0, entries=entries)
-
+    names = {t: "(" + SEPARATOR.join(t) + ")" for t in tuples}
+    functions = {f: {} for f, arity in lang.functions.items() if arity}
+    predicates = {p: {} for p in lang.predicates}
+    symbols = [(f, lang.functions[f]) for f in functions]
+    for name, arity in [*symbols, *lang.predicates.items()]:
+        for cell in iproduct(tuples, repeat=arity):
+            args = tuple(names[t] for t in cell)
+            coords = zip(factors, zip(*cell) if arity else [()] * len(factors))
+            if name in functions:
+                functions[name][args] = names[tuple(s.functions[name][c] for s, c in coords)]
+            else:
+                value = min(s.predicates[name].value(c) for s, c in coords)
+                if policy == "scrambled" and value != top:
+                    value = random.Random(f"{seed}:{name}:{','.join(args)}").randrange(top)
+                predicates[name][args] = value
     return Structure(
-        chain=chain,
-        lang=first.lang,
-        domain=domain,
-        predicates=predicates,
+        chain=first.chain,
+        lang=lang,
+        domain=tuple(names.values()),
+        predicates={
+            p: PredTable(arity=lang.predicates[p], default=0, entries=entries)
+            for p, entries in predicates.items()
+        },
         functions=functions,
-        constants=constants,
+        constants={c: names[tuple(s.constants[c] for s in factors)] for c in first.constants},
     )
 
 

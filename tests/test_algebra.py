@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+import mvmt.algebra
 from mvmt import (
     ElementRangeError,
     InvalidSizeError,
@@ -16,6 +17,7 @@ from mvmt import (
     residuum,
     tnorm,
 )
+from mvmt.harness import enumerate_tnorm_tables
 
 
 def brute_residuum(chain, x, y):
@@ -185,3 +187,25 @@ def test_kind_detection_and_dict_round_trip():
     assert chain_from_dict(chain_to_dict(custom)) == custom
     # n = 2 is both families; detection must still round-trip
     assert chain_from_dict(chain_to_dict(make_godel(2))) == make_godel(2)
+
+
+def test_kind_detection_builds_no_residuum(monkeypatch):
+    # Stock chains of sizes 2-6 and 256, every custom table on 3 and 4
+    # elements, and the one-element chain, all built before the patch.
+    stock = [(make_lukasiewicz(n), "lukasiewicz") for n in (2, 3, 4, 5, 6, 256)]
+    stock += [(make_godel(n), "lukasiewicz" if n == 2 else "godel") for n in (2, 3, 4, 5, 6, 256)]
+    custom = [
+        make_custom(n, table)
+        for n in (3, 4)
+        for table in enumerate_tnorm_tables(n)
+        if table not in (make_lukasiewicz(n).tnorm, make_godel(n).tnorm)
+    ]
+    expected = stock + [(c, "custom") for c in custom] + [(make_custom(1, [[0]]), "custom")]
+    assert len(custom) > 2
+
+    def refuse(n, table):
+        raise AssertionError("residuum derived while classifying a chain")
+
+    monkeypatch.setattr(mvmt.algebra, "_derive_residuum", refuse)
+    for chain, kind in expected:
+        assert chain_to_dict(chain)["kind"] == kind

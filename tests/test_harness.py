@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import mvmt.solver
 from mvmt import (
     GenConfig,
     HarnessError,
@@ -152,6 +153,19 @@ def test_report_digests_are_pinned(suite, implication):
         check = check_hom_preservation if suite == "hom" else check_ep_preservation
         report = check(GenConfig(seed=7, trials=1000, allow_implication=implication))
     assert _digest(report.to_dict()) == PINNED_REPORTS[suite, implication]
+
+
+def test_closure_suite_does_not_classify_per_structure(monkeypatch):
+    # The axioms are checked once up front; each structure is then decided
+    # without the solver classifying the axiom again.
+    def refuse(phi):
+        raise AssertionError("classified inside the trial loop")
+
+    monkeypatch.setattr(mvmt.solver, "classify", refuse)
+    lang = Language(predicates={"P": 1})
+    cfg = GenConfig(seed=7, trials=150)
+    report = check_pp_theory_closure(cfg, [parse_formula("E x . P(x)", lang)], lang)
+    assert _digest(report.to_dict()) == PINNED_REPORTS["closure", False]
 
 
 # Digests of 300 drawn formulas per connective mix; they change only when a

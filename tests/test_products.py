@@ -1,11 +1,14 @@
+import hashlib
 from itertools import product
 
 import pytest
 
 from mvmt import (
+    Language,
     ProductError,
     classify_morphism,
     direct_product,
+    dumps_structure,
     evaluate,
     is_homomorphism,
     make_godel,
@@ -155,3 +158,24 @@ def test_model_of_pp_axioms_closed_under_product():
         phi = gen_pp_formula(rng, lang, [], 3)
         if evaluate(m, phi) == chain.top and evaluate(n, phi) == chain.top:
             assert evaluate(direct_product([m, n]), phi) == chain.top
+
+
+# Digest of the serialized weak products of 40 seeded factor sets, both
+# policies, plus one nested product; it changes only when a product's
+# elements, tables or scrambled values do.
+PINNED_PRODUCTS = "030b72dbab3fc548e6e20de355115372dd1b71b9a043bbbcf509b4b25635d9d0"
+
+
+def test_product_bytes_are_pinned():
+    lang = Language(predicates={"P": 1, "Q": 2, "R": 0}, functions={"c": 0, "f": 1})
+    digest = hashlib.sha256()
+    for t in range(40):
+        rng = trial_rng(41, "prodbytes", t)
+        chain = gen_chain(rng, 5)
+        factors = [gen_structure(rng, chain, lang, 3) for _ in range(1 + t % 3)]
+        for policy in ("min", "scrambled"):
+            digest.update(dumps_structure(weak_product(factors, policy, seed=t)).encode())
+    m, n = factor_pair()
+    nested = weak_product([weak_product([m, n], "scrambled", seed=3), m], "scrambled", seed=4)
+    digest.update(dumps_structure(nested).encode())
+    assert digest.hexdigest() == PINNED_PRODUCTS
