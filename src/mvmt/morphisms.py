@@ -8,7 +8,9 @@ not be injective.  An embedding is an injective homomorphism; an isomorphism
 is a surjective embedding.
 
 :func:`find_homomorphisms` solves the canonical query of the source with
-the solver's backtracking kernel; :func:`check_homomorphism` checks the
+the solver's backtracking kernel, which checks forward under its fixed
+floor; a predicate fact is tested by the solver's table lookup, the one a
+pp atom over variables uses.  :func:`check_homomorphism` checks the
 definition directly and serves as its independent oracle.
 """
 
@@ -18,7 +20,7 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
-from .solver import _backtrack
+from .solver import _atom_value, _backtrack
 from .structures import Structure, _expansion, diagram, evaluate, expand_with_names, named_constant
 
 HOMOMORPHISM = "homomorphism"
@@ -102,11 +104,6 @@ def classify_morphism(g: Mapping, m: Structure, n: Structure) -> str:
     return ISOMORPHISM
 
 
-def _atom_value(env: Mapping, data) -> int:
-    entries, default, args = data
-    return entries.get(tuple([env[a] for a in args]), default)
-
-
 def _equation_value(env: Mapping, data) -> int:
     image, args, result, top = data
     return top if image[tuple([env[a] for a in args])] == env[result] else 0
@@ -119,7 +116,8 @@ def find_homomorphisms(m: Structure, n: Structure, limit: int | None = None) -> 
 
     Source elements are assigned in domain order, candidate targets tried in
     domain order, so the result order is deterministic; with ``limit=None``
-    the result is exactly the set of all homomorphisms.
+    the result is exactly the set of all homomorphisms.  Each map lists the
+    source elements in domain order.
     """
     _check_compatible(m, n)
     if limit is not None and limit <= 0:
@@ -142,7 +140,7 @@ def find_homomorphisms(m: Structure, n: Structure, limit: int | None = None) -> 
         query.append(((element,), _equation_value, ({(): n.constants[name]}, (), element, top)))
     out: list[Mapping] = []
     for g, _ in _backtrack(n.domain, m.domain, query, top, top - 1):
-        out.append(dict(g))
+        out.append({e: g[e] for e in m.domain})
         if len(out) == limit:
             break
     return out

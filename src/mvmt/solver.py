@@ -13,9 +13,18 @@ so no expansion into pp disjuncts is needed.
 :func:`top_decider` runs the kernel with the floor just below top (a pp
 matrix is top exactly when every atom is) on a prefix-form formula with
 free variables, once per tuple of their values; the check suites read
-top-ness from it, and :func:`decide_pp_top` is its sentence case.  Leaves
-of the matrix other than atoms, such as implications, are valued by
-:func:`evaluate`.
+top-ness from it, and :func:`decide_pp_top` is its sentence case.  Where
+the floor stays fixed, that is in the homomorphism search and in a top
+decider on a matrix without ``\\/``, the kernel checks forward: it tests a
+constraint as soon as all but the last of its variables are assigned
+(unless the last is the next to assign), once per element left for the
+last, and drops the elements that fail it.  Branch and bound raises its
+floor as it goes, so it tests each constraint at its last variable.
+
+A predicate atom over variables is tested by :func:`_atom_value`, one
+lookup in its table, which the homomorphism search shares; the other
+leaves of the matrix, such as implications and atoms over function terms,
+are valued by :func:`evaluate`.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .structures import Structure, evaluate
+from .structures import EvaluationError, Structure, evaluate
 from .syntax import (
     Atom,
     Equals,
@@ -32,6 +41,7 @@ from .syntax import (
     Or,
     StrongAnd,
     TruthConst,
+    Var,
     WeakAnd,
     classify,
     free_vars,
@@ -86,12 +96,24 @@ def _backtrack(
     """Assign the variables in ``order`` to ``domain`` elements, both in
     order, depth first, starting from ``env`` (the values of the variables
     outside ``order``).  ``constraints`` holds ``(variables, test, data)``
-    triples; ``test(env, data)`` is the constraint's chain value, called only
-    at the depth where the last of its ``variables`` in ``order`` is
-    assigned, or at depth 0 when it has none there.  A branch
-    is cut when a tested value is at most ``floor`` (unless the constraint's
-    index is in ``uncut``), or when ``bound(values)`` is; ``values`` holds
-    the constraint values, top while untested.
+    triples; ``test(env, data)`` is the constraint's chain value, called
+    once the last of its ``variables`` in ``order`` is assigned, or at depth
+    0 when it has none there.  A branch is cut when a tested value is at
+    most ``floor`` (unless the constraint's index is in ``uncut``), or when
+    ``bound(values)`` is; ``values`` holds the constraint values, top while
+    untested.
+
+    Without a bound the floor is fixed, and the search checks forward
+    (Haralick and Elliott).  Take a cutting constraint whose last variable
+    in ``order`` lies more than one depth below the one before it (below
+    depth 0 if it has one variable there).  Once that earlier variable is
+    assigned, the constraint is tested for each element still alive for
+    the last, and the elements valued at most ``floor`` are dropped; a
+    branch that leaves a variable no element is cut.  At the last
+    variable's depth the kept value is read, not tested again.  Only
+    elements that would fail deeper are dropped, so the solutions and their
+    order do not change; but ``env`` gets those last variables early, so
+    its key order is not the order of assignment.
 
     Yields ``(env, values)`` per surviving complete assignment; both are
     live, so copy what you keep.  With a bound, each solution raises the
@@ -99,11 +121,18 @@ def _backtrack(
     """
     depth_of = {v: depth for depth, v in enumerate(order, 1)}
     checks: list[list] = [[] for _ in range(len(order) + 1)]
+    filters: list[list] = [[] for _ in range(len(order) + 1)]  # the tests ahead, per depth
     for index, (variables, test, data) in enumerate(constraints):
-        at = max([depth_of.get(v, 0) for v in variables], default=0)
+        ahead, at = [0, 0, *sorted({depth_of.get(v, 0) for v in variables})][-2:]
+        if bound is None and at > ahead + 1 and index not in uncut:
+            tested: dict = {}
+            filters[ahead].append((at - 1, test, data, tested))
+            test, data = _read, (tested, order[at - 1])
         checks[at].append((index, test, data, index not in uncut))
     values = [top] * len(constraints)
     env = {} if env is None else env
+    alive: list = [domain] * len(order)  # per variable, the elements not ruled out
+    trail: list[tuple] = []  # (depth, position, alive elements it replaced), per filtering
 
     def admissible(depth: int) -> bool:
         for index, test, data, cuts in checks[depth]:
@@ -111,9 +140,22 @@ def _backtrack(
             if value <= floor and cuts:
                 return False
             values[index] = value
+        for position, test, data, tested in filters[depth]:
+            name, kept = order[position], []
+            for element in alive[position]:
+                env[name] = element
+                value = test(env, data)
+                if value > floor:
+                    kept.append(element)
+                    tested[element] = value
+            if len(kept) < len(alive[position]):
+                trail.append((depth, position, alive[position]))
+                alive[position] = kept
+                if not kept:
+                    return False
         return bound is None or bound(values) > floor
 
-    tried = [0] * len(order)  # per variable, how many domain elements were tried
+    tried = [0] * len(order)  # per variable, how many alive elements were tried
     depth = 0 if admissible(0) else -1  # number of variables assigned
     while depth >= 0:
         if depth == len(order):
@@ -121,16 +163,31 @@ def _backtrack(
             if bound is not None:
                 floor = bound(values)
             depth -= 1
-        elif tried[depth] == len(domain):
+            continue
+        while trail and trail[-1][0] > depth:  # undo the filtering by the last element tried
+            _, position, previous = trail.pop()
+            alive[position] = previous
+        if tried[depth] == len(alive[depth]):
             tried[depth] = 0
             for index, _, _, _ in checks[depth + 1]:
                 values[index] = top
             depth -= 1
         else:
-            env[order[depth]] = domain[tried[depth]]
+            env[order[depth]] = alive[depth][tried[depth]]
             tried[depth] += 1
             if admissible(depth + 1):
                 depth += 1
+
+
+def _read(env, data) -> int:
+    """A constraint's value tested ahead, read at its deepest variable."""
+    tested, name = data
+    return tested[env[name]]
+
+
+def _atom_value(env, data) -> int:
+    entries, default, args = data
+    return entries.get(tuple([env[a] for a in args]), default)
 
 
 def _evaluate_leaf(env, data) -> int:
@@ -156,10 +213,11 @@ def _query(struct: Structure, phi: Formula):
     may still exceed it.
     """
     prefix, matrix = strip_exists_prefix(phi)
-    tnorm = struct.chain.tnorm
+    tnorm, algebra_constants = struct.chain.tnorm, struct.lang.algebra_constants
     constraints: list[tuple] = []
     under_or: set[int] = set()
     scores: dict[str, int] = {}
+    supports: dict[str, int] = {}  # _top_tuple_count per predicate name
 
     def build(f: Formula, in_or: bool):
         if isinstance(f, WeakAnd):
@@ -174,11 +232,21 @@ def _query(struct: Structure, phi: Formula):
         if in_or:
             under_or.add(len(constraints))
         variables = free_vars(f)
+        test, data = _evaluate_leaf, (struct, f)
+        if isinstance(f, Atom):
+            if f.pred not in supports:
+                supports[f.pred] = _top_tuple_count(struct, f)
+            # read the table directly where evaluate would read it at the
+            # variables' values; algebra constants first, as in evaluate
+            table = None if f.pred in algebra_constants else struct.predicates.get(f.pred)
+            args = tuple([a.name for a in f.args if isinstance(a, Var)])
+            if table is not None and table.arity == len(args) == len(f.args):
+                test, data = _atom_value, (table.entries, table.default, args)
         if isinstance(f, (Atom, Equals, TruthConst)):
-            support = _top_tuple_count(struct, f)
+            support = supports[f.pred] if isinstance(f, Atom) else _top_tuple_count(struct, f)
             for name in variables:
                 scores[name] = min(scores.get(name, support), support)
-        constraints.append((variables, _evaluate_leaf, (struct, f)))
+        constraints.append((variables, test, data))
         return itemgetter(len(constraints) - 1)
 
     bound = build(matrix, False)
@@ -217,12 +285,16 @@ def top_decider(struct: Structure, phi: Formula, free=()):
     The query is built once and searched again for each tuple, with the
     floor just below top: a branch is cut at the first leaf outside any
     ``\\/`` that is not top.  Only a matrix with a ``\\/`` needs the bound.
-    A prefix variable named in ``free`` is a :class:`FragmentError`.
+    A prefix variable named in ``free`` is a :class:`FragmentError`, and a
+    free variable of ``phi`` not named there an :class:`EvaluationError`.
     """
     prefix, order, constraints, bound, uncut = _query(struct, phi)
     shadowed = sorted(set(prefix) & set(free))
     if shadowed:
         raise FragmentError(f"prefix variables {shadowed} shadow free variables")
+    unbound = sorted(set().union(*[c[0] for c in constraints]) - set(prefix) - set(free))
+    if unbound:
+        raise EvaluationError(f"unbound variable {unbound[0]!r}")
     domain, top = struct.domain, struct.chain.top
     if not uncut:
         bound = None

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from mvmt import (
+    EvaluationError,
     FragmentError,
     decide_pp_top,
     evaluate,
@@ -210,6 +211,20 @@ def test_top_decider_rejects_a_prefix_variable_shadowing_a_free_one():
         top_decider(s, phi, ["u", "w"])
     assert top_decider(s, phi, ["w"])(("a",)) is None
     assert top_decider(s, phi, ["w"])(("b",)) == {"u": "a"}
+
+
+def test_top_decider_rejects_an_unbound_variable():
+    # Table atoms read the assignment directly, so the decider checks the
+    # free variables up front, also where the search would cut before the
+    # leaf that reads w (no x makes both P(x) and Q(x) top).
+    s = build(
+        CHAIN3,
+        ("a", "b"),
+        preds={"P": (1, 0, {("a",): 2}), "Q": (1, 0, {("b",): 2}), "S": (2, 2, {})},
+    )
+    for text in ("E x . P(x) & Q(w)", "E x . Q(x) & P(x) & S(x, w)"):
+        with pytest.raises(EvaluationError, match="unbound variable 'w'"):
+            top_decider(s, parse_formula(text, s.lang))
 
 
 def test_check_suites_search_above_the_small_space(monkeypatch):
