@@ -8,10 +8,10 @@ not be injective.  An embedding is an injective homomorphism; an isomorphism
 is a surjective embedding.
 
 :func:`find_homomorphisms` solves the canonical query of the source with
-the solver's backtracking kernel, which checks forward under its fixed
-floor; a predicate fact is tested by the solver's table lookup, the one a
-pp atom over variables uses.  :func:`check_homomorphism` checks the
-definition directly and serves as its independent oracle.
+the solver's backtracking kernel, which checks forward; a predicate fact
+is tested by the solver's table lookup, the one a pp atom over variables
+uses.  :func:`check_homomorphism` checks the definition directly and
+serves as its independent oracle.
 """
 
 from __future__ import annotations

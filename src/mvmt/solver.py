@@ -13,13 +13,11 @@ so no expansion into pp disjuncts is needed.
 :func:`top_decider` runs the kernel with the floor just below top (a pp
 matrix is top exactly when every atom is) on a prefix-form formula with
 free variables, once per tuple of their values; the check suites read
-top-ness from it, and :func:`decide_pp_top` is its sentence case.  Where
-the floor stays fixed, that is in the homomorphism search and in a top
-decider on a matrix without ``\\/``, the kernel checks forward: it tests a
-constraint as soon as all but the last of its variables are assigned
-(unless the last is the next to assign), once per element left for the
-last, and drops the elements that fail it.  Branch and bound raises its
-floor as it goes, so it tests each constraint at its last variable.
+top-ness from it, and :func:`decide_pp_top` is its sentence case.  The kernel
+checks forward: it tests a constraint outside any ``\\/`` as soon as all
+but the last of its variables are assigned (unless the last is the next to
+assign), once per element left for the last, and drops the elements that
+fail it.
 
 A predicate atom over variables is tested by :func:`_atom_value`, one
 lookup in its table, which the homomorphism search shares; the other
@@ -103,17 +101,17 @@ def _backtrack(
     ``bound(values)`` is; ``values`` holds the constraint values, top while
     untested.
 
-    Without a bound the floor is fixed, and the search checks forward
-    (Haralick and Elliott).  Take a cutting constraint whose last variable
-    in ``order`` lies more than one depth below the one before it (below
-    depth 0 if it has one variable there).  Once that earlier variable is
-    assigned, the constraint is tested for each element still alive for
-    the last, and the elements valued at most ``floor`` are dropped; a
-    branch that leaves a variable no element is cut.  At the last
-    variable's depth the kept value is read, not tested again.  Only
-    elements that would fail deeper are dropped, so the solutions and their
-    order do not change; but ``env`` gets those last variables early, so
-    its key order is not the order of assignment.
+    The search checks forward (Haralick and Elliott).  Take a cutting
+    constraint whose last variable in ``order`` lies more than one depth
+    below the one before it (below depth 0 if it has one variable there).
+    Once that earlier variable is assigned, the constraint is tested for
+    each element still alive for the last, and the elements valued at most
+    ``floor`` are dropped; a branch that leaves a variable no element is
+    cut.  At the last variable's depth the kept value is read, not tested
+    again, and checked against the floor of that moment.  The floor never
+    falls, so a dropped element would have been cut there too: the
+    solutions and their order do not change; but ``env`` gets those last
+    variables early, so its key order is not the order of assignment.
 
     Yields ``(env, values)`` per surviving complete assignment; both are
     live, so copy what you keep.  With a bound, each solution raises the
@@ -124,7 +122,7 @@ def _backtrack(
     filters: list[list] = [[] for _ in range(len(order) + 1)]  # the tests ahead, per depth
     for index, (variables, test, data) in enumerate(constraints):
         ahead, at = [0, 0, *sorted({depth_of.get(v, 0) for v in variables})][-2:]
-        if bound is None and at > ahead + 1 and index not in uncut:
+        if at > ahead + 1 and index not in uncut:
             tested: dict = {}
             filters[ahead].append((at - 1, test, data, tested))
             test, data = _read, (tested, order[at - 1])
@@ -219,6 +217,13 @@ def _query(struct: Structure, phi: Formula):
     scores: dict[str, int] = {}
     supports: dict[str, int] = {}  # _top_tuple_count per predicate name
 
+    def support_of(f: Formula) -> int:
+        if not isinstance(f, Atom):
+            return _top_tuple_count(struct, f)
+        if f.pred not in supports:
+            supports[f.pred] = _top_tuple_count(struct, f)
+        return supports[f.pred]
+
     def build(f: Formula, in_or: bool):
         if isinstance(f, WeakAnd):
             left, right = build(f.left, in_or), build(f.right, in_or)
@@ -234,8 +239,6 @@ def _query(struct: Structure, phi: Formula):
         variables = free_vars(f)
         test, data = _evaluate_leaf, (struct, f)
         if isinstance(f, Atom):
-            if f.pred not in supports:
-                supports[f.pred] = _top_tuple_count(struct, f)
             # read the table directly where evaluate would read it at the
             # variables' values; algebra constants first, as in evaluate
             table = None if f.pred in algebra_constants else struct.predicates.get(f.pred)
@@ -243,7 +246,7 @@ def _query(struct: Structure, phi: Formula):
             if table is not None and table.arity == len(args) == len(f.args):
                 test, data = _atom_value, (table.entries, table.default, args)
         if isinstance(f, (Atom, Equals, TruthConst)):
-            support = supports[f.pred] if isinstance(f, Atom) else _top_tuple_count(struct, f)
+            support = support_of(f)
             for name in variables:
                 scores[name] = min(scores.get(name, support), support)
         constraints.append((variables, test, data))

@@ -23,7 +23,7 @@ from mvmt import (
     solve_ep,
     solve_pp,
 )
-from mvmt import morphisms
+from mvmt import morphisms, solver
 from mvmt.harness import gen_chain, gen_ep_formula, gen_pp_formula, gen_structure, trial_rng
 from mvmt.solver import decide_pp_top, top_decider
 from mvmt.syntax import Atom, Exists, Var
@@ -149,6 +149,37 @@ def test_forward_checking_prunes(monkeypatch):
     monkeypatch.setattr(morphisms, "_atom_value", counting)
     assert find_homomorphisms(k4, complete_graph(3)) == []
     assert calls <= 1000, calls
+
+
+
+def test_forward_checking_prunes_under_a_bound(monkeypatch):
+    # A matrix with a \/ is searched with its bound.  The free a, b, d take
+    # three colours of K3, so no colour is left for c; c comes after eight
+    # variables of scarcer support, which a search that tests the edges of c
+    # only once c is assigned would assign 3^8 times.
+    lang = Language(predicates={"Adj": 2, "Q": 1})
+    k3 = complete_graph(3)
+    s = Structure(k3.chain, lang, k3.domain, {**k3.predicates, "Q": PredTable(1, 1, {})})
+    xs = [f"x{i}" for i in range(8)]
+    phi = parse_formula(
+        f"E {' '.join(xs)} c . Adj(a, c) & Adj(b, c) & Adj(d, c) & (Q(x0) \\/ Q(x1)) & "
+        + " & ".join(f"Q({x})" for x in xs[2:]),
+        lang,
+    )
+    calls = 0
+    atom_value = solver._atom_value
+
+    def counting(env, data):
+        nonlocal calls
+        calls += 1
+        return atom_value(env, data)
+
+    monkeypatch.setattr(solver, "_atom_value", counting)
+    decide = top_decider(s, phi, ("a", "b", "d"))
+    assert decide(("k0", "k1", "k2")) is None
+    assert calls <= 1000, calls
+    witness = decide(("k0", "k1", "k1"))
+    assert list(witness.items()) == [*((x, "k0") for x in xs), ("c", "k2")]
 
 
 def test_table_atoms_value_as_evaluate_does():
