@@ -10,14 +10,19 @@ policies realize the family here: "min" (the canonical product itself) and
 "scrambled" (a seed-determined value below top wherever some coordinate is
 below top).
 
-One loop over cells fills every table.  A cell holds one coordinate tuple
-per argument; its transpose gives each factor its own argument tuple.
+Every table is filled from the factors' rows: each factor's argument
+tuples with their value or function output, read once.  A product cell is
+one row per factor.  Under "min" the rows valued 0 are dropped first, since
+a cell with a coordinate at 0 is 0, the default; a scrambled cell below top
+seeds one reused generator with a string naming the policy seed, the
+symbol and the cell's arguments.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import product as iproduct
+from operator import add
 from typing import Sequence
 
 from .structures import PredTable, Structure
@@ -74,6 +79,25 @@ def _check_factors(factors: Sequence[Structure]) -> None:
                 raise ProductError(f"element name {e!r} collides with product naming")
 
 
+def _cells(rows, offsets, names: list[str], arity: int, start: int, combine):
+    """Yield ``(args, value)`` per product cell of an ``arity``-ary symbol.
+
+    ``rows`` holds each factor's ``(args, value)`` pairs.  A cell takes one
+    row per factor, and its value folds ``combine`` over theirs from
+    ``start``.  A product element is its index in ``names``, the sum of its
+    coordinates' ``offsets``.  While the rows are combined, a cell's
+    arguments are one number: their indices as digits in base ``len(names)``.
+    """
+    size = len(names)
+    weights = [size**i for i in reversed(range(arity))]
+    cells = [(0, start)]
+    for factor_rows, offset in zip(rows, offsets):
+        codes = [(sum([offset[a] * w for a, w in zip(args, weights)]), v) for args, v in factor_rows]
+        cells = [(code + c, combine(value, v)) for code, value in cells for c, v in codes]
+    for code, value in cells:
+        yield tuple([names[code // w % size] for w in weights]), value
+
+
 def weak_product(factors: Sequence[Structure], policy: str = "min", seed: int = 0) -> Structure:
     """A member of the weak-product family of ``factors`` under ``policy``."""
     if policy not in POLICIES:
@@ -81,32 +105,47 @@ def weak_product(factors: Sequence[Structure], policy: str = "min", seed: int = 
     _check_factors(factors)
     first = factors[0]
     lang, top = first.lang, first.chain.top
-    tuples = list(iproduct(*(s.domain for s in factors)))
-    names = {t: "(" + SEPARATOR.join(t) + ")" for t in tuples}
-    functions = {f: {} for f, arity in lang.functions.items() if arity}
-    predicates = {p: {} for p in lang.predicates}
-    symbols = [(f, lang.functions[f]) for f in functions]
-    for name, arity in [*symbols, *lang.predicates.items()]:
-        for cell in iproduct(tuples, repeat=arity):
-            args = tuple(names[t] for t in cell)
-            coords = zip(factors, zip(*cell) if arity else [()] * len(factors))
-            if name in functions:
-                functions[name][args] = names[tuple(s.functions[name][c] for s, c in coords)]
-            else:
-                value = min(s.predicates[name].value(c) for s, c in coords)
-                if policy == "scrambled" and value != top:
-                    value = random.Random(f"{seed}:{name}:{','.join(args)}").randrange(top)
-                predicates[name][args] = value
+    names = ["(" + SEPARATOR.join(t) + ")" for t in iproduct(*(s.domain for s in factors))]
+    offsets = []
+    stride = len(names)
+    for s in factors:
+        stride //= len(s.domain)
+        offsets.append({e: i * stride for i, e in enumerate(s.domain)})
+    functions = {}
+    for f, arity in lang.functions.items():
+        if arity:
+            rows = [[(a, o[e]) for a, e in s.functions[f].items()] for s, o in zip(factors, offsets)]
+            functions[f] = {a: names[i] for a, i in _cells(rows, offsets, names, arity, 0, add)}
+    # Below top a 2-element chain has only 0, so there the policies agree.
+    scrambled = policy == "scrambled" and top > 1
+    rng = random.Random()
+    predicates = {}
+    for p, arity in lang.predicates.items():
+        rows = [
+            [(a, s.predicates[p].value(a)) for a in iproduct(s.domain, repeat=arity)]
+            for s in factors
+        ]
+        if not scrambled:  # under min a cell with a coordinate at 0 is 0, the default
+            rows = [[row for row in factor_rows if row[1]] for factor_rows in rows]
+        entries = predicates[p] = {}
+        for args, value in _cells(rows, offsets, names, arity, top, min):
+            if scrambled and value != top:
+                rng.seed(f"{seed}:{p}:{','.join(args)}")
+                value = rng.randrange(top)
+            if value:
+                entries[args] = value
     return Structure(
         chain=first.chain,
         lang=lang,
-        domain=tuple(names.values()),
+        domain=tuple(names),
         predicates={
             p: PredTable(arity=lang.predicates[p], default=0, entries=entries)
             for p, entries in predicates.items()
         },
         functions=functions,
-        constants={c: names[tuple(s.constants[c] for s in factors)] for c in first.constants},
+        constants={
+            c: "(" + SEPARATOR.join(s.constants[c] for s in factors) + ")" for c in first.constants
+        },
     )
 
 

@@ -242,6 +242,8 @@ def _query(struct: Structure, phi: Formula):
             # read the table directly where evaluate would read it at the
             # variables' values; algebra constants first, as in evaluate
             table = None if f.pred in algebra_constants else struct.predicates.get(f.pred)
+            if table is None and f.pred not in algebra_constants:
+                raise EvaluationError(f"unknown predicate symbol {f.pred!r}")
             args = tuple([a.name for a in f.args if isinstance(a, Var)])
             if table is not None and table.arity == len(args) == len(f.args):
                 test, data = _atom_value, (table.entries, table.default, args)

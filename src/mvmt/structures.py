@@ -107,18 +107,18 @@ class Structure:
                 f"predicate tables do not match the language "
                 f"(missing {sorted(missing)}, undeclared {sorted(extra)})"
             )
+        check, size = self.chain.check_element, self.chain.size
         for name, table in self.predicates.items():
             arity = self.lang.predicates[name]
             if table.arity != arity:
                 raise StructureError(f"table for {name!r} has arity {table.arity}, expected {arity}")
-            self.chain.check_element(table.default)
+            default = check(table.default)
             for args, v in table.entries.items():
-                if len(args) != arity or any(a not in dom for a in args):
+                if len(args) != arity or not dom.issuperset(args):
                     raise StructureError(f"bad entry key {args!r} for predicate {name!r}")
-                self.chain.check_element(v)
-            table.entries = {
-                args: v for args, v in sorted(table.entries.items()) if v != table.default
-            }
+                if type(v) is not int or not 0 <= v < size:  # only these can fail the check
+                    check(v)
+            table.entries = {args: v for args, v in sorted(table.entries.items()) if v != default}
             if arity == 0 and table.entries:
                 table.default = table.entries[()]
                 table.entries = {}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -129,6 +130,24 @@ def test_product_emits_loadable_structure(capsys, two_point_file, tmp_path):
     assert {k for k, v in scrambled.predicates["P"].entries.items() if v == top} == {
         k for k, v in prod.predicates["P"].entries.items() if v == top
     }
+
+
+# sha256 of the stdout of `mvmt product` on copies of the fixture file, per
+# (factor count, options); it changes only when a product's elements, tables
+# or scrambled values do.
+PINNED_PRODUCT_OUTPUT = [
+    (2, ("--weak", "min"), "d1eddeffbf93077ef7bd0cd207a21448de65712dc79c9f3b270f9a44bce84194"),
+    (2, ("--weak", "min", "--seed", "4"), "d1eddeffbf93077ef7bd0cd207a21448de65712dc79c9f3b270f9a44bce84194"),
+    (2, ("--weak", "scrambled", "--seed", "4"), "c69414b83dc336989fbb3057cf479a9a78c488b025e42260d4fb9fafbcdc32e2"),
+    (3, ("--weak", "scrambled", "--seed", "11"), "92939b31f26acb4d71a72280e3a31949eb398f43a878d8e205947e97d3fd8a45"),
+]
+
+
+def test_product_output_bytes_are_pinned(capsys, two_point_file):
+    for count, options, digest in PINNED_PRODUCT_OUTPUT:
+        code, out, _ = run(capsys, "product", *[two_point_file] * count, *options)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, options
 
 
 def test_diagram(capsys, two_point_file):

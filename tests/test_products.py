@@ -1,11 +1,14 @@
 import hashlib
+import random
 from itertools import product
 
 import pytest
 
 from mvmt import (
     Language,
+    PredTable,
     ProductError,
+    Structure,
     classify_morphism,
     direct_product,
     dumps_structure,
@@ -179,3 +182,95 @@ def test_product_bytes_are_pinned():
     nested = weak_product([weak_product([m, n], "scrambled", seed=3), m], "scrambled", seed=4)
     digest.update(dumps_structure(nested).encode())
     assert digest.hexdigest() == PINNED_PRODUCTS
+
+
+def ref_weak_product(factors, policy, seed):
+    """The weak product cell by cell from the definition: each cell's
+    coordinatewise minimum through ``PredTable.value``, replaced below top
+    under "scrambled" by a draw from a generator seeded for that cell."""
+    first = factors[0]
+    top = first.chain.top
+    coords = list(product(*(s.domain for s in factors)))
+    name = {t: "(" + "|".join(t) + ")" for t in coords}
+    predicates = {}
+    for p, arity in first.lang.predicates.items():
+        entries = {}
+        for cell in product(coords, repeat=arity):
+            args = tuple(name[t] for t in cell)
+            value = min(s.predicates[p].value(tuple(t[i] for t in cell)) for i, s in enumerate(factors))
+            if policy == "scrambled" and value != top:
+                value = random.Random(f"{seed}:{p}:{','.join(args)}").randrange(top)
+            entries[args] = value
+        predicates[p] = PredTable(arity, 0, entries)
+    functions = {}
+    for f, arity in first.lang.functions.items():
+        if arity:
+            functions[f] = {
+                tuple(name[t] for t in cell): name[
+                    tuple(s.functions[f][tuple(t[i] for t in cell)] for i, s in enumerate(factors))
+                ]
+                for cell in product(coords, repeat=arity)
+            }
+    return Structure(
+        chain=first.chain,
+        lang=first.lang,
+        domain=tuple(name[t] for t in coords),
+        predicates=predicates,
+        functions=functions,
+        constants={c: name[tuple(s.constants[c] for s in factors)] for c in first.constants},
+    )
+
+
+def random_factors(rng):
+    """1-3 factors of 1-3 elements over a chain of 2-4 elements (top 1 at 2),
+    with unary, binary and 0-ary predicates whose tables list some tuples
+    and default to 0, top or a random element, a unary function and a
+    constant."""
+    size = rng.randint(2, 4)
+    chain = make_lukasiewicz(size) if rng.random() < 0.5 else make_godel(size)
+    lang = Language(predicates={"P": 1, "Q": 2, "R": 0}, functions={"c": 0, "f": 1})
+    factors = []
+    for _ in range(rng.randint(1, 3)):
+        domain = ("a", "b", "c")[: rng.randint(1, 3)]
+        predicates = {}
+        for p, arity in lang.predicates.items():
+            default = rng.choice((0, chain.top, rng.randrange(chain.size)))
+            entries = {
+                args: rng.randrange(chain.size)
+                for args in product(domain, repeat=arity)
+                if rng.random() < 0.6
+            }
+            predicates[p] = PredTable(arity, default, entries)
+        factors.append(
+            Structure(
+                chain=chain,
+                lang=lang,
+                domain=domain,
+                predicates=predicates,
+                functions={"f": {(e,): rng.choice(domain) for e in domain}},
+                constants={"c": rng.choice(domain)},
+            )
+        )
+    return factors
+
+
+def test_weak_product_matches_reference():
+    kinds = set()
+    for t in range(60):
+        rng = random.Random(f"prodref:{t}")
+        factors = random_factors(rng)
+        kinds.add((factors[0].chain.top == 1, min(len(s.domain) for s in factors) == 1))
+        kinds.update(
+            ("default", table.default == s.chain.top) for s in factors for table in s.predicates.values()
+        )
+        for policy in ("min", "scrambled"):
+            got = weak_product(factors, policy, seed=t)
+            assert dumps_structure(got) == dumps_structure(ref_weak_product(factors, policy, t))
+    # the draws cover top 1 and larger chains, 1-element factors and
+    # tables with a top default
+    assert {(True, True), (False, True), (True, False), (False, False), ("default", True)} <= kinds
+    inner = random_factors(random.Random("prodref:nested:6"))
+    assert len(inner) == 2 and inner[0].chain.top == 2
+    got = weak_product([weak_product(inner, "scrambled", seed=3), inner[0]], "scrambled", seed=4)
+    ref = ref_weak_product([ref_weak_product(inner, "scrambled", 3), inner[0]], "scrambled", 4)
+    assert dumps_structure(got) == dumps_structure(ref)

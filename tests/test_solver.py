@@ -5,6 +5,7 @@ import pytest
 from mvmt import (
     EvaluationError,
     FragmentError,
+    Language,
     decide_pp_top,
     evaluate,
     make_lukasiewicz,
@@ -225,6 +226,20 @@ def test_top_decider_rejects_an_unbound_variable():
     for text in ("E x . P(x) & Q(w)", "E x . Q(x) & P(x) & S(x, w)"):
         with pytest.raises(EvaluationError, match="unbound variable 'w'"):
             top_decider(s, parse_formula(text, s.lang))
+
+
+def test_unknown_predicate_is_an_evaluation_error():
+    s = two_point()
+    wide = Language(predicates={"P": 1, "Q": 1, "Z": 1})
+    calls = [
+        (solve_pp, "E x . P(x) & Z(x)"),
+        (solve_ep, "E x . Q(x) \\/ Z(x)"),
+        (decide_pp_top, "E x . Z(x)"),
+        (lambda m, phi: top_decider(m, phi, ["y"]), "E x . P(x) & Z(y)"),
+    ]
+    for call, text in calls:
+        with pytest.raises(EvaluationError, match=r"^unknown predicate symbol 'Z'$"):
+            call(s, parse_formula(text, wide))
 
 
 def test_check_suites_search_above_the_small_space(monkeypatch):

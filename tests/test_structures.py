@@ -26,6 +26,7 @@ from mvmt import (
     to_text,
     truth_constant_name,
 )
+from mvmt.algebra import ElementRangeError
 from mvmt.harness import gen_chain, gen_language, gen_structure, trial_rng
 from mvmt.syntax import App, Atom, Equals, Var
 
@@ -279,6 +280,38 @@ def test_structure_validation_errors():
             predicates={"P": PredTable(1)},
             constants={"c": "z"},
         )
+
+
+def test_table_entry_validation_messages():
+    lang = Language(predicates={"P": 1, "R": 0})
+
+    def with_p(entries, default=0):
+        return Structure(
+            chain=CHAIN3,
+            lang=lang,
+            domain=("a", "b"),
+            predicates={"P": PredTable(1, default, entries), "R": PredTable(0)},
+        )
+
+    with pytest.raises(ElementRangeError, match=r"^element 5 out of range 0\.\.2$"):
+        with_p({("a",): 5})
+    with pytest.raises(ElementRangeError, match=r"^element -1 out of range 0\.\.2$"):
+        with_p({("a",): 1, ("b",): -1})
+    with pytest.raises(ElementRangeError, match=r"^element True out of range 0\.\.2$"):
+        with_p({("a",): True})
+    with pytest.raises(ElementRangeError, match=r"^element 3 out of range 0\.\.2$"):
+        with_p({}, default=3)
+    with pytest.raises(StructureError, match=r"^bad entry key \('a', 'a'\) for predicate 'P'$"):
+        with_p({("a", "a"): 1})
+    with pytest.raises(StructureError, match=r"^bad entry key \(\) for predicate 'P'$"):
+        with_p({(): 1})
+    # the key is checked before the value, entry by entry in table order
+    with pytest.raises(StructureError, match=r"^bad entry key \('z',\) for predicate 'P'$"):
+        with_p({("a",): 1, ("z",): 7})
+    with pytest.raises(ElementRangeError, match=r"^element 7 out of range 0\.\.2$"):
+        with_p({("a",): 7, ("z",): 1})
+    with pytest.raises(ElementRangeError, match=r"^element 1\.0 out of range 0\.\.2$"):
+        with_p({("a",): 1.0})
 
 
 def test_json_round_trip_bit_exact():
