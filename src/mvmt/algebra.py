@@ -83,15 +83,14 @@ def _rational_labels(n: int) -> tuple[str, ...]:
 
 
 def _derive_residuum(n: int, tnorm: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    # tnorm(x, .) is monotone, so {z : tnorm(x, z) <= y} is downward closed;
-    # scan from the top for its maximum.
+    # tnorm(x, .) is monotone, so {z : tnorm(x, z) <= y} is downward closed
+    # and its maximum does not fall as y rises: one upward sweep per row.
     rows = []
     for x in range(n):
-        row = []
+        row, z = [], 0
         for y in range(n):
-            z = n - 1
-            while tnorm[x][z] > y:
-                z -= 1
+            while z + 1 < n and tnorm[x][z + 1] <= y:
+                z += 1
             row.append(z)
         rows.append(tuple(row))
     return tuple(rows)

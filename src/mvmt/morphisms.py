@@ -7,11 +7,11 @@ Values below the top impose no constraint, and equality contributes nothing
 not be injective.  An embedding is an injective homomorphism; an isomorphism
 is a surjective embedding.
 
-:func:`find_homomorphisms` solves the canonical query of the source with
-the solver's backtracking kernel, which checks forward; a predicate fact
-is tested by the solver's table lookup, the one a pp atom over variables
-uses.  :func:`check_homomorphism` checks the definition directly and
-serves as its independent oracle.
+:func:`find_homomorphisms` plans the canonical query of the source once
+with the solver's kernel and searches it under the fixed floor just below
+top, so a fact tested ahead is not tested again; a fact is one table
+lookup, as a pp atom over variables is.  :func:`check_homomorphism` checks
+the definition directly and serves as its independent oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
-from .solver import _atom_value, _backtrack
+from .solver import _atom_value, _kernel
 from .structures import Structure, _expansion, diagram, evaluate, expand_with_names, named_constant
 
 HOMOMORPHISM = "homomorphism"
@@ -139,7 +139,7 @@ def find_homomorphisms(m: Structure, n: Structure, limit: int | None = None) -> 
     for name, element in m.constants.items():  # a constant is a 0-ary function
         query.append(((element,), _equation_value, ({(): n.constants[name]}, (), element, top)))
     out: list[Mapping] = []
-    for g, _ in _backtrack(n.domain, m.domain, query, top, top - 1):
+    for g, _ in _kernel(m.domain, query)(n.domain, top, top - 1, {}):
         out.append({e: g[e] for e in m.domain})
         if len(out) == limit:
             break

@@ -2,22 +2,22 @@
 
 A pp sentence is a constraint instance: the existential prefix lists the
 variables, the matrix atoms the constraints.  One backtracking kernel,
-:func:`_backtrack`, searches such instances above a value floor:
-:func:`solve_pp` as branch and bound, and
+:func:`_kernel`, plans the search of such a query once and returns it; each
+run searches above a value floor: :func:`solve_pp` as branch and bound, and
 :func:`mvmt.morphisms.find_homomorphisms` on the canonical query of the
 source structure, since finding a homomorphism is the same problem (Chandra
 and Merlin).  An existential positive sentence is searched the same way by
 :func:`solve_ep`: its matrix bound takes ``\\/`` as the max of its children,
 so no expansion into pp disjuncts is needed.
 
-:func:`top_decider` runs the kernel with the floor just below top (a pp
-matrix is top exactly when every atom is) on a prefix-form formula with
-free variables, once per tuple of their values; the check suites read
-top-ness from it, and :func:`decide_pp_top` is its sentence case.  The kernel
-checks forward: it tests a constraint outside any ``\\/`` as soon as all
-but the last of its variables are assigned (unless the last is the next to
-assign), once per element left for the last, and drops the elements that
-fail it.
+:func:`top_decider` plans once per formula and reruns the search for each
+tuple of values of its free variables, with the floor just below top (a pp
+matrix is top exactly when every atom is); the check suites read top-ness
+from it, and :func:`decide_pp_top` is its sentence case.  The kernel checks
+forward: it tests a constraint outside any ``\\/`` as soon as all but the
+last of its variables are assigned (unless the last is the next to assign),
+once per element left for the last, and drops the elements that fail it.
+Under a fixed floor such a constraint is not tested again.
 
 A predicate atom over variables is tested by :func:`_atom_value`, one
 lookup in its table, which the homomorphism search shares; the other
@@ -88,18 +88,19 @@ def _top_tuple_count(struct: Structure, atom: Formula) -> int:
     return listed_top
 
 
-def _backtrack(
-    domain, order, constraints, top: int, floor: int, bound=None, uncut=frozenset(), env=None,
-):
-    """Assign the variables in ``order`` to ``domain`` elements, both in
-    order, depth first, starting from ``env`` (the values of the variables
-    outside ``order``).  ``constraints`` holds ``(variables, test, data)``
-    triples; ``test(env, data)`` is the constraint's chain value, called
-    once the last of its ``variables`` in ``order`` is assigned, or at depth
-    0 when it has none there.  A branch is cut when a tested value is at
-    most ``floor`` (unless the constraint's index is in ``uncut``), or when
-    ``bound(values)`` is; ``values`` holds the constraint values, top while
-    untested.
+def _kernel(order, constraints, uncut=frozenset(), bound=None):
+    """Plan the search of one query and return it as ``search(domain, top,
+    floor, env)``, which assigns the variables in ``order`` to ``domain``
+    elements, both in order, depth first, starting from ``env`` (the values
+    of the variables outside ``order``).  ``constraints`` holds
+    ``(variables, test, data)`` triples; ``test(env, data)`` is the
+    constraint's chain value, called once the last of its ``variables`` in
+    ``order`` is assigned, or at depth 0 when it has none there.  A branch
+    is cut when a tested value is at most ``floor`` (unless the constraint's
+    index is in ``uncut``), or when ``bound(values)`` is; ``values`` holds
+    the constraint values, top while untested.  The plan, which constraint
+    is tested at which depth, is built once; each search keeps its own
+    assignment, but searches of one bounded plan must not interleave.
 
     The search checks forward (Haralick and Elliott).  Take a cutting
     constraint whose last variable in ``order`` lies more than one depth
@@ -107,74 +108,84 @@ def _backtrack(
     Once that earlier variable is assigned, the constraint is tested for
     each element still alive for the last, and the elements valued at most
     ``floor`` are dropped; a branch that leaves a variable no element is
-    cut.  At the last variable's depth the kept value is read, not tested
-    again, and checked against the floor of that moment.  The floor never
-    falls, so a dropped element would have been cut there too: the
-    solutions and their order do not change; but ``env`` gets those last
-    variables early, so its key order is not the order of assignment.
+    cut.  Without a bound the floor is fixed, so the constraint is not
+    tested again (its value stays top); with one, the kept value is read at
+    the last variable's depth and checked against the floor of that moment.
+    The floor never falls, so a dropped element would have been cut there
+    too: the solutions and their order do not change; but ``env`` gets
+    those last variables early, so its key order is not the order of
+    assignment.
 
-    Yields ``(env, values)`` per surviving complete assignment; both are
-    live, so copy what you keep.  With a bound, each solution raises the
-    floor to its bound, so solutions come in strictly increasing value.
+    A search yields ``(env, values)`` per surviving complete assignment;
+    both are live, so copy what you keep.  With a bound, each solution
+    raises the floor to its bound, so solutions come in strictly increasing
+    value.
     """
     depth_of = {v: depth for depth, v in enumerate(order, 1)}
     checks: list[list] = [[] for _ in range(len(order) + 1)]
     filters: list[list] = [[] for _ in range(len(order) + 1)]  # the tests ahead, per depth
     for index, (variables, test, data) in enumerate(constraints):
         ahead, at = [0, 0, *sorted({depth_of.get(v, 0) for v in variables})][-2:]
-        if at > ahead + 1 and index not in uncut:
-            tested: dict = {}
+        cuts = index not in uncut
+        if at > ahead + 1 and cuts:
+            tested = None if bound is None else {}
             filters[ahead].append((at - 1, test, data, tested))
+            if tested is None:
+                continue
             test, data = _read, (tested, order[at - 1])
-        checks[at].append((index, test, data, index not in uncut))
-    values = [top] * len(constraints)
-    env = {} if env is None else env
-    alive: list = [domain] * len(order)  # per variable, the elements not ruled out
-    trail: list[tuple] = []  # (depth, position, alive elements it replaced), per filtering
+        checks[at].append((index, test, data, cuts))
 
-    def admissible(depth: int) -> bool:
-        for index, test, data, cuts in checks[depth]:
-            value = test(env, data)
-            if value <= floor and cuts:
-                return False
-            values[index] = value
-        for position, test, data, tested in filters[depth]:
-            name, kept = order[position], []
-            for element in alive[position]:
-                env[name] = element
+    def search(domain, top: int, floor: int, env: dict):
+        values = [top] * len(constraints)
+        alive: list = [domain] * len(order)  # per variable, the elements not ruled out
+        trail: list[tuple] = []  # (depth, position, alive elements it replaced), per filtering
+
+        def admissible(depth: int) -> bool:
+            for index, test, data, cuts in checks[depth]:
                 value = test(env, data)
-                if value > floor:
-                    kept.append(element)
-                    tested[element] = value
-            if len(kept) < len(alive[position]):
-                trail.append((depth, position, alive[position]))
-                alive[position] = kept
-                if not kept:
+                if value <= floor and cuts:
                     return False
-        return bound is None or bound(values) > floor
+                values[index] = value
+            for position, test, data, tested in filters[depth]:
+                name, kept = order[position], []
+                for element in alive[position]:
+                    env[name] = element
+                    value = test(env, data)
+                    if value > floor:
+                        kept.append(element)
+                        if tested is not None:
+                            tested[element] = value
+                if len(kept) < len(alive[position]):
+                    trail.append((depth, position, alive[position]))
+                    alive[position] = kept
+                    if not kept:
+                        return False
+            return bound is None or bound(values) > floor
 
-    tried = [0] * len(order)  # per variable, how many alive elements were tried
-    depth = 0 if admissible(0) else -1  # number of variables assigned
-    while depth >= 0:
-        if depth == len(order):
-            yield env, values
-            if bound is not None:
-                floor = bound(values)
-            depth -= 1
-            continue
-        while trail and trail[-1][0] > depth:  # undo the filtering by the last element tried
-            _, position, previous = trail.pop()
-            alive[position] = previous
-        if tried[depth] == len(alive[depth]):
-            tried[depth] = 0
-            for index, _, _, _ in checks[depth + 1]:
-                values[index] = top
-            depth -= 1
-        else:
-            env[order[depth]] = alive[depth][tried[depth]]
-            tried[depth] += 1
-            if admissible(depth + 1):
-                depth += 1
+        tried = [0] * len(order)  # per variable, how many alive elements were tried
+        depth = 0 if admissible(0) else -1  # number of variables assigned
+        while depth >= 0:
+            if depth == len(order):
+                yield env, values
+                if bound is not None:
+                    floor = bound(values)
+                depth -= 1
+                continue
+            while trail and trail[-1][0] > depth:  # undo the filtering by the last element tried
+                _, position, previous = trail.pop()
+                alive[position] = previous
+            if tried[depth] == len(alive[depth]):
+                tried[depth] = 0
+                for index, _, _, _ in checks[depth + 1]:
+                    values[index] = top
+                depth -= 1
+            else:
+                env[order[depth]] = alive[depth][tried[depth]]
+                tried[depth] += 1
+                if admissible(depth + 1):
+                    depth += 1
+
+    return search
 
 
 def _read(env, data) -> int:
@@ -265,7 +276,7 @@ def _solve(struct: Structure, phi: Formula, fragment: str, described: str) -> So
     prefix, order, constraints, bound, uncut = _query(struct, phi)
     top = struct.chain.top
     best, witness = -1, {}
-    for env, values in _backtrack(struct.domain, order, constraints, top, -1, bound, uncut):
+    for env, values in _kernel(order, constraints, uncut, bound)(struct.domain, top, -1, {}):
         best, witness = bound(values), {v: env[v] for v in prefix}
         if best == top:
             break
@@ -287,8 +298,8 @@ def top_decider(struct: Structure, phi: Formula, free=()):
     the first prefix assignment, in search order, under which ``phi`` takes
     the value top there, or None when there is none.
 
-    The query is built once and searched again for each tuple, with the
-    floor just below top: a branch is cut at the first leaf outside any
+    The query and its search plan are built once, and the search is run
+    again for each tuple with the floor just below top: a branch is cut at the first leaf outside any
     ``\\/`` that is not top.  Only a matrix with a ``\\/`` needs the bound.
     A prefix variable named in ``free`` is a :class:`FragmentError`, and a
     free variable of ``phi`` not named there an :class:`EvaluationError`.
@@ -301,12 +312,10 @@ def top_decider(struct: Structure, phi: Formula, free=()):
     if unbound:
         raise EvaluationError(f"unbound variable {unbound[0]!r}")
     domain, top = struct.domain, struct.chain.top
-    if not uncut:
-        bound = None
+    search = _kernel(order, constraints, uncut, bound if uncut else None)
 
     def decide(args) -> dict[str, str] | None:
-        start = dict(zip(free, args))
-        for env, _ in _backtrack(domain, order, constraints, top, top - 1, bound, uncut, start):
+        for env, _ in search(domain, top, top - 1, dict(zip(free, args))):
             return {v: env[v] for v in prefix}
         return None
 

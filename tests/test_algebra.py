@@ -209,3 +209,21 @@ def test_kind_detection_builds_no_residuum(monkeypatch):
     monkeypatch.setattr(mvmt.algebra, "_derive_residuum", refuse)
     for chain, kind in expected:
         assert chain_to_dict(chain)["kind"] == kind
+
+
+def test_residuum_closed_forms_on_large_chains():
+    n = 300
+    top = n - 1
+    godel, lukasiewicz = make_godel(n), make_lukasiewicz(n)
+    for x in range(n):
+        assert godel.residuum[x] == tuple(top if x <= y else y for y in range(n))
+        assert lukasiewicz.residuum[x] == tuple(min(top, top - x + y) for y in range(n))
+
+
+def test_custom_residuum_is_the_greatest_solution():
+    for n in range(1, 7):
+        for table in enumerate_tnorm_tables(n):
+            c = make_custom(n, table)
+            assert c.residuum == tuple(
+                tuple(brute_residuum(c, x, y) for y in range(n)) for x in range(n)
+            )

@@ -26,7 +26,7 @@ from mvmt import (
 from mvmt import morphisms, solver
 from mvmt.harness import gen_chain, gen_ep_formula, gen_pp_formula, gen_structure, trial_rng
 from mvmt.solver import decide_pp_top, top_decider
-from mvmt.syntax import Atom, Exists, Var
+from mvmt.syntax import Atom, Exists, Var, to_text
 
 from support import build, ref_evaluate
 
@@ -89,6 +89,19 @@ def maps_digest(pairs):
     return digest.hexdigest()
 
 
+def counted(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call is counted in the returned list."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def test_graph_colourings_are_pinned():
     rng = random.Random("kernel-graphs")
     k3 = complete_graph(3)
@@ -138,18 +151,26 @@ def test_forward_checking_prunes(monkeypatch):
     # the isolated vertices 3^8 times for each colouring of a, b and d.
     domain = ("a", "b", "d", *(f"x{i}" for i in range(8)), "c")
     k4 = graph(domain, [(u, v) for i, u in enumerate("abdc") for v in "abdc"[i + 1:]])
-    calls = 0
-    atom_value = morphisms._atom_value
-
-    def counting(env, data):
-        nonlocal calls
-        calls += 1
-        return atom_value(env, data)
-
-    monkeypatch.setattr(morphisms, "_atom_value", counting)
+    calls = counted(monkeypatch, morphisms, "_atom_value")
     assert find_homomorphisms(k4, complete_graph(3)) == []
-    assert calls <= 1000, calls
+    assert calls[0] <= 1000, calls
 
+
+def colour_query(disjunction):
+    """A query with the free a, b, d adjacent to c in K3, eight more
+    variables of scarcer support, and an optional ``\\/`` that makes the
+    decider branch and bound."""
+    lang = Language(predicates={"Adj": 2, "Q": 1})
+    k3 = complete_graph(3)
+    s = Structure(k3.chain, lang, k3.domain, {**k3.predicates, "Q": PredTable(1, 1, {})})
+    xs = [f"x{i}" for i in range(8)]
+    middle = "(Q(x0) \\/ Q(x1))" if disjunction else "Q(x0) & Q(x1)"
+    phi = parse_formula(
+        f"E {' '.join(xs)} c . Adj(a, c) & Adj(b, c) & Adj(d, c) & {middle} & "
+        + " & ".join(f"Q({x})" for x in xs[2:]),
+        lang,
+    )
+    return s, phi
 
 
 def test_forward_checking_prunes_under_a_bound(monkeypatch):
@@ -157,29 +178,13 @@ def test_forward_checking_prunes_under_a_bound(monkeypatch):
     # three colours of K3, so no colour is left for c; c comes after eight
     # variables of scarcer support, which a search that tests the edges of c
     # only once c is assigned would assign 3^8 times.
-    lang = Language(predicates={"Adj": 2, "Q": 1})
-    k3 = complete_graph(3)
-    s = Structure(k3.chain, lang, k3.domain, {**k3.predicates, "Q": PredTable(1, 1, {})})
-    xs = [f"x{i}" for i in range(8)]
-    phi = parse_formula(
-        f"E {' '.join(xs)} c . Adj(a, c) & Adj(b, c) & Adj(d, c) & (Q(x0) \\/ Q(x1)) & "
-        + " & ".join(f"Q({x})" for x in xs[2:]),
-        lang,
-    )
-    calls = 0
-    atom_value = solver._atom_value
-
-    def counting(env, data):
-        nonlocal calls
-        calls += 1
-        return atom_value(env, data)
-
-    monkeypatch.setattr(solver, "_atom_value", counting)
+    s, phi = colour_query(disjunction=True)
+    calls = counted(monkeypatch, solver, "_atom_value")
     decide = top_decider(s, phi, ("a", "b", "d"))
     assert decide(("k0", "k1", "k2")) is None
-    assert calls <= 1000, calls
+    assert calls[0] <= 1000, calls
     witness = decide(("k0", "k1", "k1"))
-    assert list(witness.items()) == [*((x, "k0") for x in xs), ("c", "k2")]
+    assert list(witness.items()) == [*((f"x{i}", "k0") for i in range(8)), ("c", "k2")]
 
 
 def test_table_atoms_value_as_evaluate_does():
@@ -208,3 +213,60 @@ def test_table_atoms_value_as_evaluate_does():
         solve_pp(s, wrong)
     with pytest.raises(EvaluationError, match="expected 1"):
         decide_pp_top(s, wrong)
+
+
+@pytest.mark.parametrize("disjunction", [False, True])
+def test_a_decider_plans_once(monkeypatch, disjunction):
+    plans = counted(monkeypatch, solver, "_kernel")
+    s, phi = colour_query(disjunction)
+    decide = top_decider(s, phi, ("a", "b", "d"))
+    found = [decide(args) for args in product(s.domain, repeat=3)]
+    assert plans == [1]
+    assert sum(w is not None for w in found) == 21  # the 27 - 6 tuples with a colour left
+
+
+def test_fixed_floor_searches_read_nothing_back(monkeypatch):
+    # Under a fixed floor a kept element has passed its test ahead, so the
+    # kernel does not read the value back at the constraint's last variable.
+    # A kernel that reads it back there too makes 18 reads on K4 -> K3
+    # below, 78 on C5 -> K3 and 10 in the decider.  Branch and bound keeps
+    # the read-back (9 in the decider).
+    reads = counted(monkeypatch, solver, "_read")
+    domain = ("a", "b", "d", *(f"x{i}" for i in range(8)), "c")
+    k4 = graph(domain, [(u, v) for i, u in enumerate("abdc") for v in "abdc"[i + 1:]])
+    c5 = graph(tuple("12345"), [(str(i), str(i % 5 + 1)) for i in range(1, 6)])
+    assert find_homomorphisms(k4, complete_graph(3)) == []
+    assert len(find_homomorphisms(c5, complete_graph(3))) == 30
+    for disjunction in (False, True):
+        s, phi = colour_query(disjunction)
+        decide = top_decider(s, phi, ("a", "b", "d"))
+        assert decide(("k0", "k1", "k2")) is None
+        assert list(decide(("k0", "k1", "k1")).values()) == ["k0"] * 8 + ["k2"]
+        assert reads == [9 if disjunction else 0]
+
+
+def test_a_reused_decider_gives_fresh_witnesses(monkeypatch):
+    # One decider runs over its tuples shuffled and repeated; each witness,
+    # with its key order, is the one a fresh decider finds for that tuple.
+    # Drawn EP matrices with a \/ are branched and bounded, and read the
+    # values they tested ahead back from state the plan keeps.
+    reads = counted(monkeypatch, solver, "_read")
+    cases = [(*colour_query(disjunction), ("a", "b", "d")) for disjunction in (False, True)]
+    for t in range(200):
+        rng = trial_rng(59, "kernel-reuse", t)
+        chain, lang = gen_chain(rng, 4), LANGS[t % 3]
+        s = drawn_structure(rng, chain, lang, 4)
+        free = ["u", "w"][: rng.randint(1, 2)]
+        modes = ("pp", "ep", "pp_imp", "ep", "ep_imp")
+        cases.append((s, gen_pp_formula(rng, lang, free, 5, modes[t % 5]), free))
+    assert sum(bool(solver._query(s, phi)[4]) for s, phi, _ in cases) >= 30
+    rng = random.Random("kernel-reuse")
+    for s, phi, free in cases:
+        tuples = list(product(s.domain, repeat=len(free)))
+        tuples += rng.choices(tuples, k=len(tuples))
+        rng.shuffle(tuples)
+        decide = top_decider(s, phi, free)
+        for args in tuples:
+            w, fresh = decide(args), top_decider(s, phi, free)(args)
+            assert (w and list(w.items())) == (fresh and list(fresh.items())), (to_text(phi), args)
+    assert reads[0] > 100
