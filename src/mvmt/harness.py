@@ -451,7 +451,7 @@ def check_product_preservation(cfg: GenConfig) -> CheckReport:
     and assert, tuple by tuple, both directions of the top-value
     biconditional between the product and its coordinates."""
     violations: list[dict] = []
-    effective = 0
+    effective, mode = 0, "pp_imp" if cfg.allow_implication else "pp"
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, "product", trial)
         chain = gen_chain(rng, cfg.max_chain)
@@ -459,7 +459,7 @@ def check_product_preservation(cfg: GenConfig) -> CheckReport:
         count = rng.randint(2, 3)
         factors = [gen_structure(rng, chain, lang, cfg.max_domain) for _ in range(count)]
         free = list(_FREE_POOL[: rng.randint(0, 1)])
-        phi = gen_pp_formula(rng, lang, free, cfg.max_depth)
+        phi = gen_pp_formula(rng, lang, free, cfg.max_depth, mode)
         products = {
             "min": direct_product(factors),
             "scrambled": weak_product(factors, policy="scrambled", seed=trial),

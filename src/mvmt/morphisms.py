@@ -7,11 +7,11 @@ Values below the top impose no constraint, and equality contributes nothing
 not be injective.  An embedding is an injective homomorphism; an isomorphism
 is a surjective embedding.
 
-:func:`find_homomorphisms` plans the canonical query of the source once
-with the solver's kernel and searches it under the fixed floor just below
-top, so a fact tested ahead is not tested again; a fact is one table
-lookup, as a pp atom over variables is.  :func:`check_homomorphism` checks
-the definition directly and serves as its independent oracle.
+:func:`find_homomorphisms` searches the canonical query of the source, a
+fact per top tuple (:meth:`PredTable.top_tuples`), with the solver's kernel
+from the floor just below top, which tests a fact ahead only once; a fact is
+one table lookup, as a pp atom over variables is.  :func:`check_homomorphism`
+checks the definition directly and serves as its independent oracle.
 """
 
 from __future__ import annotations
@@ -126,20 +126,16 @@ def find_homomorphisms(m: Structure, n: Structure, limit: int | None = None) -> 
     query = []
     for pname, table in m.predicates.items():
         target = n.predicates[pname]
-        if table.default == top:
-            facts = [a for a in product(m.domain, repeat=table.arity) if table.value(a) == top]
-        else:
-            facts = [a for a, v in table.entries.items() if v == top]
-        for args in facts:
-            query.append((args, _atom_value, (target.entries, target.default, args)))
+        for args in table.top_tuples(m.domain, top):
+            query.append((args, _atom_value, (target.entries, target.default, args), True))
     for fname, table in m.functions.items():
         image = n.functions[fname]
         for args, result in table.items():
-            query.append(((*args, result), _equation_value, (image, args, result, top)))
+            query.append(((*args, result), _equation_value, (image, args, result, top), True))
     for name, element in m.constants.items():  # a constant is a 0-ary function
-        query.append(((element,), _equation_value, ({(): n.constants[name]}, (), element, top)))
+        query.append(((element,), _equation_value, ({(): n.constants[name]}, (), element, top), True))
     out: list[Mapping] = []
-    for g, _ in _kernel(m.domain, query)(n.domain, top, top - 1, {}):
+    for g, _ in _kernel(m.domain, query, top, top - 1)(n.domain, {}):
         out.append({e: g[e] for e in m.domain})
         if len(out) == limit:
             break

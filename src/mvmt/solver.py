@@ -14,10 +14,10 @@ so no expansion into pp disjuncts is needed.
 tuple of values of its free variables, with the floor just below top (a pp
 matrix is top exactly when every atom is); the check suites read top-ness
 from it, and :func:`decide_pp_top` is its sentence case.  The kernel checks
-forward: it tests a constraint outside any ``\\/`` as soon as all but the
-last of its variables are assigned (unless the last is the next to assign),
-once per element left for the last, and drops the elements that fail it.
-Under a fixed floor such a constraint is not tested again.
+forward: it tests a cutting constraint (one outside any ``\\/``) as soon as
+all but the last of its variables are assigned (unless the last is the next
+to assign), once per element left for the last, and drops the elements that
+fail it.  Only a search from below top - 1 reads the kept value back.
 
 A predicate atom over variables is tested by :func:`_atom_value`, one
 lookup in its table, which the homomorphism search shares; the other
@@ -80,62 +80,59 @@ def _top_tuple_count(struct: Structure, atom: Formula) -> int:
     assert isinstance(atom, Atom)
     if atom.pred in struct.lang.algebra_constants:
         return 1 if struct.lang.algebra_constants[atom.pred] == struct.chain.top else 0
-    table = struct.predicates[atom.pred]
-    total = len(struct.domain) ** table.arity
-    listed_top = sum(1 for v in table.entries.values() if v == struct.chain.top)
-    if table.default == struct.chain.top:
-        return total - len(table.entries) + listed_top
-    return listed_top
+    return len(struct.predicates[atom.pred].top_tuples(struct.domain, struct.chain.top))
 
 
-def _kernel(order, constraints, uncut=frozenset(), bound=None):
-    """Plan the search of one query and return it as ``search(domain, top,
-    floor, env)``, which assigns the variables in ``order`` to ``domain``
-    elements, both in order, depth first, starting from ``env`` (the values
-    of the variables outside ``order``).  ``constraints`` holds
-    ``(variables, test, data)`` triples; ``test(env, data)`` is the
-    constraint's chain value, called once the last of its ``variables`` in
-    ``order`` is assigned, or at depth 0 when it has none there.  A branch
-    is cut when a tested value is at most ``floor`` (unless the constraint's
-    index is in ``uncut``), or when ``bound(values)`` is; ``values`` holds
-    the constraint values, top while untested.  The plan, which constraint
-    is tested at which depth, is built once; each search keeps its own
-    assignment, but searches of one bounded plan must not interleave.
+def _kernel(order, constraints, top, floor, bound=None):
+    """Plan the search of one query and return it as ``search(domain,
+    env)``, which assigns the variables in ``order`` to ``domain`` elements,
+    both in order, depth first, starting from ``env`` (the values of the
+    variables outside ``order``).  ``constraints`` holds ``(variables, test,
+    data, cuts)`` tuples; ``test(env, data)`` is the constraint's chain
+    value, called once the last of its ``variables`` in ``order`` is
+    assigned, or at depth 0 when it has none there.  A branch is cut when a
+    tested value is at most the floor and ``cuts`` is true, or when
+    ``bound(values)`` is; ``values`` holds the constraint values, top while
+    untested.  Each search starts at ``floor`` and raises only its own copy.
 
     The search checks forward (Haralick and Elliott).  Take a cutting
     constraint whose last variable in ``order`` lies more than one depth
     below the one before it (below depth 0 if it has one variable there).
     Once that earlier variable is assigned, the constraint is tested for
     each element still alive for the last, and the elements valued at most
-    ``floor`` are dropped; a branch that leaves a variable no element is
-    cut.  Without a bound the floor is fixed, so the constraint is not
-    tested again (its value stays top); with one, the kept value is read at
-    the last variable's depth and checked against the floor of that moment.
-    The floor never falls, so a dropped element would have been cut there
-    too: the solutions and their order do not change; but ``env`` gets
-    those last variables early, so its key order is not the order of
-    assignment.
+    the floor are dropped; a branch that leaves a variable no element is
+    cut.  The floor never falls, so a dropped element would have been cut
+    there too: the solutions and their order do not change; but ``env``
+    gets those last variables early, so its key order is not the order of
+    assignment.  The kept value is read back at the last variable's depth
+    only when ``floor`` is below ``top - 1``, as only then can a solution
+    raise the floor past it; such a plan keeps the values it read ahead, so
+    its searches (branch and bound) must not interleave.  From ``top - 1``
+    the floor can only rise to top, and then nothing is admissible; if every
+    constraint also cuts, the plan drops the bound, as every leaf kept is
+    top and so is the matrix.
 
     A search yields ``(env, values)`` per surviving complete assignment;
     both are live, so copy what you keep.  With a bound, each solution
     raises the floor to its bound, so solutions come in strictly increasing
     value.
     """
+    bound = None if floor == top - 1 and all(c[3] for c in constraints) else bound
     depth_of = {v: depth for depth, v in enumerate(order, 1)}
     checks: list[list] = [[] for _ in range(len(order) + 1)]
     filters: list[list] = [[] for _ in range(len(order) + 1)]  # the tests ahead, per depth
-    for index, (variables, test, data) in enumerate(constraints):
+    for index, (variables, test, data, cuts) in enumerate(constraints):
         ahead, at = [0, 0, *sorted({depth_of.get(v, 0) for v in variables})][-2:]
-        cuts = index not in uncut
         if at > ahead + 1 and cuts:
-            tested = None if bound is None else {}
+            tested = {} if floor < top - 1 else None
             filters[ahead].append((at - 1, test, data, tested))
             if tested is None:
                 continue
             test, data = _read, (tested, order[at - 1])
         checks[at].append((index, test, data, cuts))
 
-    def search(domain, top: int, floor: int, env: dict):
+    def search(domain, env: dict):
+        level = floor  # this search's floor; a bound raises it
         values = [top] * len(constraints)
         alive: list = [domain] * len(order)  # per variable, the elements not ruled out
         trail: list[tuple] = []  # (depth, position, alive elements it replaced), per filtering
@@ -143,7 +140,7 @@ def _kernel(order, constraints, uncut=frozenset(), bound=None):
         def admissible(depth: int) -> bool:
             for index, test, data, cuts in checks[depth]:
                 value = test(env, data)
-                if value <= floor and cuts:
+                if value <= level and cuts:
                     return False
                 values[index] = value
             for position, test, data, tested in filters[depth]:
@@ -151,7 +148,7 @@ def _kernel(order, constraints, uncut=frozenset(), bound=None):
                 for element in alive[position]:
                     env[name] = element
                     value = test(env, data)
-                    if value > floor:
+                    if value > level:
                         kept.append(element)
                         if tested is not None:
                             tested[element] = value
@@ -160,7 +157,7 @@ def _kernel(order, constraints, uncut=frozenset(), bound=None):
                     alive[position] = kept
                     if not kept:
                         return False
-            return bound is None or bound(values) > floor
+            return bound is None or bound(values) > level
 
         tried = [0] * len(order)  # per variable, how many alive elements were tried
         depth = 0 if admissible(0) else -1  # number of variables assigned
@@ -168,7 +165,7 @@ def _kernel(order, constraints, uncut=frozenset(), bound=None):
             if depth == len(order):
                 yield env, values
                 if bound is not None:
-                    floor = bound(values)
+                    level = bound(values)
                 depth -= 1
                 continue
             while trail and trail[-1][0] > depth:  # undo the filtering by the last element tried
@@ -205,8 +202,8 @@ def _evaluate_leaf(env, data) -> int:
 
 
 def _query(struct: Structure, phi: Formula):
-    """Prefix, variable order, leaf constraints, matrix bound and the
-    indices of the leaves under a ``\\/``, from one walk over the matrix.
+    """Prefix, variable order, leaf constraints and matrix bound, from one
+    walk over the matrix.
 
     The matrix is read as ``&``, ``/\\`` and ``\\/`` over leaves: atoms,
     and any other subformula (such as an implication), which
@@ -216,15 +213,14 @@ def _query(struct: Structure, phi: Formula):
 
     The walk appends each leaf's constraint at the index that the bound
     reads the leaf's value from.  The bound is monotone, so with untested
-    leaves at top it bounds every completion of a partial assignment.
-    Outside any ``\\/`` the matrix is at most each leaf's value, so one leaf
-    at or below the floor cuts the branch; under a ``\\/`` another disjunct
-    may still exceed it.
+    leaves at top it bounds every completion of a partial assignment.  A
+    constraint cuts when its leaf lies outside any ``\\/``: there the matrix
+    is at most the leaf's value, so one leaf at or below the floor cuts the
+    branch; under a ``\\/`` another disjunct may still exceed it.
     """
     prefix, matrix = strip_exists_prefix(phi)
     tnorm, algebra_constants = struct.chain.tnorm, struct.lang.algebra_constants
     constraints: list[tuple] = []
-    under_or: set[int] = set()
     scores: dict[str, int] = {}
     supports: dict[str, int] = {}  # _top_tuple_count per predicate name
 
@@ -245,8 +241,6 @@ def _query(struct: Structure, phi: Formula):
         if isinstance(f, Or):
             left, right = build(f.left, True), build(f.right, True)
             return lambda values: max(left(values), right(values))
-        if in_or:
-            under_or.add(len(constraints))
         variables = free_vars(f)
         test, data = _evaluate_leaf, (struct, f)
         if isinstance(f, Atom):
@@ -262,21 +256,21 @@ def _query(struct: Structure, phi: Formula):
             support = support_of(f)
             for name in variables:
                 scores[name] = min(scores.get(name, support), support)
-        constraints.append((variables, test, data))
+        constraints.append((variables, test, data, not in_or))
         return itemgetter(len(constraints) - 1)
 
     bound = build(matrix, False)
     order = sorted(prefix, key=lambda v: (scores.get(v, float("inf")), v))
-    return prefix, order, constraints, bound, under_or
+    return prefix, order, constraints, bound
 
 
 def _solve(struct: Structure, phi: Formula, fragment: str, described: str) -> SolveResult:
     """The branch and bound behind :func:`solve_pp` and :func:`solve_ep`."""
     _require_sentence(phi, fragment, described)
-    prefix, order, constraints, bound, uncut = _query(struct, phi)
+    prefix, order, constraints, bound = _query(struct, phi)
     top = struct.chain.top
     best, witness = -1, {}
-    for env, values in _kernel(order, constraints, uncut, bound)(struct.domain, top, -1, {}):
+    for env, values in _kernel(order, constraints, top, -1, bound)(struct.domain, {}):
         best, witness = bound(values), {v: env[v] for v in prefix}
         if best == top:
             break
@@ -299,12 +293,12 @@ def top_decider(struct: Structure, phi: Formula, free=()):
     the value top there, or None when there is none.
 
     The query and its search plan are built once, and the search is run
-    again for each tuple with the floor just below top: a branch is cut at the first leaf outside any
-    ``\\/`` that is not top.  Only a matrix with a ``\\/`` needs the bound.
-    A prefix variable named in ``free`` is a :class:`FragmentError`, and a
-    free variable of ``phi`` not named there an :class:`EvaluationError`.
+    again for each tuple with the floor just below top: a branch is cut at
+    the first leaf outside any ``\\/`` that is not top.  A prefix variable
+    named in ``free`` is a :class:`FragmentError`; a free variable not named
+    there, or an element outside the domain, an :class:`EvaluationError`.
     """
-    prefix, order, constraints, bound, uncut = _query(struct, phi)
+    prefix, order, constraints, bound = _query(struct, phi)
     shadowed = sorted(set(prefix) & set(free))
     if shadowed:
         raise FragmentError(f"prefix variables {shadowed} shadow free variables")
@@ -312,10 +306,13 @@ def top_decider(struct: Structure, phi: Formula, free=()):
     if unbound:
         raise EvaluationError(f"unbound variable {unbound[0]!r}")
     domain, top = struct.domain, struct.chain.top
-    search = _kernel(order, constraints, uncut, bound if uncut else None)
+    search = _kernel(order, constraints, top, top - 1, bound)
 
     def decide(args) -> dict[str, str] | None:
-        for env, _ in search(domain, top, top - 1, dict(zip(free, args))):
+        for name, element in zip(free, args):
+            if element not in domain:
+                raise EvaluationError(f"variable {name!r} is assigned {element!r}, outside the domain")
+        for env, _ in search(domain, dict(zip(free, args))):
             return {v: env[v] for v in prefix}
         return None
 

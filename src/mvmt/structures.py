@@ -73,6 +73,12 @@ class PredTable:
     def value(self, args: tuple[str, ...]) -> int:
         return self.entries.get(args, self.default)
 
+    def top_tuples(self, domain, top: int) -> list[tuple[str, ...]]:
+        """The argument tuples over ``domain`` that take the value ``top``."""
+        if self.default == top:
+            return [a for a in product(domain, repeat=self.arity) if self.value(a) == top]
+        return [a for a, v in self.entries.items() if v == top]
+
 
 @dataclass
 class Structure:
@@ -168,6 +174,9 @@ def eval_term(struct: Structure, term: Term, valuation: Valuation) -> str:
 
 def evaluate(struct: Structure, phi: Formula, valuation: Valuation | None = None) -> int:
     """The truth value of ``phi`` in ``struct`` under ``valuation``."""
+    for name, element in (valuation or {}).items():
+        if element not in struct.domain:
+            raise EvaluationError(f"variable {name!r} is assigned {element!r}, outside the domain")
     return _value(struct, phi, valuation or {})
 
 

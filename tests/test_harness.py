@@ -108,6 +108,8 @@ def test_mutated_suites_find_counterexamples():
     mutated = GenConfig(seed=7, trials=1000, allow_implication=True)
     assert check_hom_preservation(mutated).verdict == FAIL
     assert check_ep_preservation(mutated).verdict == FAIL
+    product = GenConfig(seed=7, trials=150, max_domain=2, allow_implication=True)
+    assert check_product_preservation(product).verdict == FAIL
 
 
 def test_violations_are_replayable():
@@ -135,7 +137,7 @@ PINNED_REPORTS = {
     ("closure", False): "6950932740eaf7702dce9aaf02ef32261cf0e20b1ce9f02096b00eb1c2458ba0",
     ("hom", True): "a1a5d4cd8ca001c72da3e79b58be36f11892febb8dd1da3fc8ab01dab34ffa7a",
     ("ep", True): "b7fcedb56671375aa21cfcb5b131229f3f093f83da0a894e944b60a04a5f3015",
-    ("product", True): "07268708572ee84dac6f6b5047c4fe981cb0b1d39da2bf95165c7cbf50f64003",
+    ("product", True): "6f283c2c34ab994771a1f6ed0f75c4940d34699e52955ad0ea0ccf1e6036048e",
     ("closure", True): "6950932740eaf7702dce9aaf02ef32261cf0e20b1ce9f02096b00eb1c2458ba0",
 }
 

@@ -7,7 +7,7 @@ order of returned dictionaries is pinned along with their contents.
 
 import hashlib
 import random
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 
@@ -26,7 +26,7 @@ from mvmt import (
 from mvmt import morphisms, solver
 from mvmt.harness import gen_chain, gen_ep_formula, gen_pp_formula, gen_structure, trial_rng
 from mvmt.solver import decide_pp_top, top_decider
-from mvmt.syntax import Atom, Exists, Var, to_text
+from mvmt.syntax import EXISTENTIAL_POSITIVE, PP, Atom, Exists, Var, classify, to_text
 
 from support import build, ref_evaluate
 
@@ -116,6 +116,16 @@ def test_structure_homomorphisms_are_pinned():
         chain, lang = gen_chain(rng, 3), LANGS[t % 3]
         pairs.append((drawn_structure(rng, chain, lang, 4), drawn_structure(rng, chain, lang, 4)))
     assert maps_digest(pairs) == PINNED_PAIR_MAPS
+    # the top tuples the canonical query is built from, against a scan of
+    # every tuple, for tables stored with default 0 and with default top
+    defaults = set()
+    for s in (s for pair in pairs for s in pair):
+        top = s.chain.top
+        for t in s.predicates.values():
+            scan = [a for a in product(s.domain, repeat=t.arity) if t.value(a) == top]
+            assert sorted(t.top_tuples(s.domain, top)) == sorted(scan)
+            defaults.add("top" if t.default == top else t.default)
+    assert {0, "top"} <= defaults
 
 
 def test_solver_values_and_witnesses_are_pinned():
@@ -226,11 +236,12 @@ def test_a_decider_plans_once(monkeypatch, disjunction):
 
 
 def test_fixed_floor_searches_read_nothing_back(monkeypatch):
-    # Under a fixed floor a kept element has passed its test ahead, so the
-    # kernel does not read the value back at the constraint's last variable.
-    # A kernel that reads it back there too makes 18 reads on K4 -> K3
-    # below, 78 on C5 -> K3 and 10 in the decider.  Branch and bound keeps
-    # the read-back (9 in the decider).
+    # From the floor top - 1 a kept element has passed its test ahead with
+    # the value top, so the kernel does not read the value back at the
+    # constraint's last variable, with a bound (the decider on the \/ query)
+    # or without.  A kernel that reads it back there too makes 18 reads on
+    # K4 -> K3 below, 78 on C5 -> K3, 10 in the decider without the \/ and 9
+    # in the one with it.
     reads = counted(monkeypatch, solver, "_read")
     domain = ("a", "b", "d", *(f"x{i}" for i in range(8)), "c")
     k4 = graph(domain, [(u, v) for i, u in enumerate("abdc") for v in "abdc"[i + 1:]])
@@ -242,14 +253,16 @@ def test_fixed_floor_searches_read_nothing_back(monkeypatch):
         decide = top_decider(s, phi, ("a", "b", "d"))
         assert decide(("k0", "k1", "k2")) is None
         assert list(decide(("k0", "k1", "k1")).values()) == ["k0"] * 8 + ["k2"]
-        assert reads == [9 if disjunction else 0]
+        assert reads == [0]
 
 
 def test_a_reused_decider_gives_fresh_witnesses(monkeypatch):
     # One decider runs over its tuples shuffled and repeated; each witness,
     # with its key order, is the one a fresh decider finds for that tuple.
-    # Drawn EP matrices with a \/ are branched and bounded, and read the
-    # values they tested ahead back from state the plan keeps.
+    # Drawn EP matrices with a \/ keep their bound, with leaves that do not
+    # cut.  Closed over their free variables, the pp and EP cases are also
+    # solved by branch and bound, which reads back the values it tested
+    # ahead from state its plan keeps.
     reads = counted(monkeypatch, solver, "_read")
     cases = [(*colour_query(disjunction), ("a", "b", "d")) for disjunction in (False, True)]
     for t in range(200):
@@ -259,7 +272,7 @@ def test_a_reused_decider_gives_fresh_witnesses(monkeypatch):
         free = ["u", "w"][: rng.randint(1, 2)]
         modes = ("pp", "ep", "pp_imp", "ep", "ep_imp")
         cases.append((s, gen_pp_formula(rng, lang, free, 5, modes[t % 5]), free))
-    assert sum(bool(solver._query(s, phi)[4]) for s, phi, _ in cases) >= 30
+    assert sum(any(not c[3] for c in solver._query(s, phi)[2]) for s, phi, _ in cases) >= 30
     rng = random.Random("kernel-reuse")
     for s, phi, free in cases:
         tuples = list(product(s.domain, repeat=len(free)))
@@ -269,4 +282,50 @@ def test_a_reused_decider_gives_fresh_witnesses(monkeypatch):
         for args in tuples:
             w, fresh = decide(args), top_decider(s, phi, free)(args)
             assert (w and list(w.items())) == (fresh and list(fresh.items())), (to_text(phi), args)
-    assert reads[0] > 100
+    assert reads == [0]
+    for s, phi, free in cases:
+        for name in reversed(free):
+            phi = Exists(name, phi)
+        tags = classify(phi)
+        if PP in tags:
+            solve_pp(s, phi)
+        elif EXISTENTIAL_POSITIVE in tags:
+            solve_ep(s, phi)
+    assert reads[0] > 100, reads
+
+
+def snapshots(search):
+    """Copies of what a search yields, taken as it yields them."""
+    for env, values in search:
+        yield list(env.items()), list(values)
+
+
+@pytest.mark.parametrize("query", ["C5 -> K3", "colours with an or"])
+def test_searches_of_one_plan_interleave(monkeypatch, query):
+    # Two searches of one plan from the floor top - 1, from different starts
+    # and advanced in turn, each yield what they yield when run alone: the
+    # plan keeps no state that a search changes.
+    plans, kernel = [], solver._kernel
+
+    def planning(*args):
+        plans.append(kernel(*args))
+        return plans[-1]
+
+    if query == "C5 -> K3":
+        monkeypatch.setattr(morphisms, "_kernel", planning)
+        c5 = graph(tuple("12345"), [(str(i), str(i % 5 + 1)) for i in range(1, 6)])
+        k3 = complete_graph(3)
+        assert len(find_homomorphisms(c5, k3)) == 30
+        starts = [(k3.domain, {}), (k3.domain[::-1], {})]
+    else:
+        monkeypatch.setattr(solver, "_kernel", planning)
+        s, phi = colour_query(disjunction=True)
+        top_decider(s, phi, ("a", "b", "d"))
+        starts = [(s.domain, dict(a="k0", b="k1", d="k1"))]
+        starts.append((s.domain[::-1], dict(a="k1", b="k1", d="k2")))
+    (search,) = plans
+    alone = [list(snapshots(search(domain, dict(env)))) for domain, env in starts]
+    together = zip_longest(*[snapshots(search(domain, dict(env))) for domain, env in starts])
+    assert list(together) == list(zip_longest(*alone))
+    assert alone[0] != alone[1]
+    assert len(alone[0]) == len(alone[1]) == (30 if query == "C5 -> K3" else 1)

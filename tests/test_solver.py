@@ -228,6 +228,17 @@ def test_top_decider_rejects_an_unbound_variable():
             top_decider(s, parse_formula(text, s.lang))
 
 
+def test_top_decider_rejects_an_element_outside_the_domain():
+    # A table lookup gives 'zz' the default, here top, so the search alone
+    # would find the witness y = b.
+    s = build(CHAIN3, ("a", "b"), preds={"P": (1, 2, {("a",): 1})})
+    decide = top_decider(s, parse_formula("E y . P(x) & P(y)", s.lang), ["x"])
+    assert decide(("a",)) is None and decide(("b",)) == {"y": "b"}
+    outside = r"^variable 'x' is assigned 'zz', outside the domain$"
+    with pytest.raises(EvaluationError, match=outside):
+        decide(("zz",))
+
+
 def test_unknown_predicate_is_an_evaluation_error():
     s = two_point()
     wide = Language(predicates={"P": 1, "Q": 1, "Z": 1})

@@ -54,6 +54,19 @@ def test_eval_term_cases():
         eval_term(s, Var("x"), {})
 
 
+def test_an_assignment_outside_the_domain_is_an_evaluation_error():
+    # an element outside the domain is in no table, so a lookup alone would
+    # give it the default, here top
+    s = build(CHAIN3, ("a", "b"), preds={"P": (1, 2, {("a",): 1})})
+    phi = parse_formula("P(x)", s.lang)
+    assert evaluate(s, phi, {"x": "a"}) == 1
+    outside = r"^variable 'x' is assigned 'zz', outside the domain$"
+    with pytest.raises(EvaluationError, match=outside):
+        evaluate(s, phi, {"x": "zz"})
+    with pytest.raises(EvaluationError, match="variable 'y' is assigned 'zz'"):
+        evaluate(s, parse_formula("E x . P(x)", s.lang), {"y": "zz"})
+
+
 def test_quantifier_values():
     s = two_point()
     assert evaluate(s, parse_formula("E x . P(x)", s.lang)) == 2
