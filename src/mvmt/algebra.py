@@ -47,14 +47,13 @@ class InvalidTableError(ChainError):
 class Chain:
     """Immutable finite chain with its conjunction and residuum tables.
 
-    ``labels[k]`` is a display name for element ``k`` (the rational
-    ``k/(size-1)`` for the stock constructors); it carries no semantics.
+    :meth:`label` names element ``k`` by the rational ``k/(size-1)``,
+    computed from the size; it carries no semantics.
     """
 
     size: int
     tnorm: tuple[tuple[int, ...], ...]
     residuum: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
 
     @property
     def top(self) -> int:
@@ -70,16 +69,10 @@ class Chain:
         return x
 
     def label(self, x: int) -> str:
-        return self.labels[self.check_element(x)]
+        return f"{self.check_element(x)}/{self.size - 1}"
 
     def __repr__(self) -> str:
         return f"Chain(size={self.size})"
-
-
-def _rational_labels(n: int) -> tuple[str, ...]:
-    if n == 1:
-        return ("0/0",)
-    return tuple(f"{i}/{n - 1}" for i in range(n))
 
 
 def _derive_residuum(n: int, tnorm: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -148,7 +141,7 @@ def make_custom(n: int, table) -> Chain:
         raise InvalidSizeError(f"chain size must be a positive integer, got {n!r}")
     tup = tuple(tuple(row) for row in table)
     _validate_tnorm(n, tup)
-    return Chain(size=n, tnorm=tup, residuum=_derive_residuum(n, tup), labels=_rational_labels(n))
+    return Chain(size=n, tnorm=tup, residuum=_derive_residuum(n, tup))
 
 
 def _lukasiewicz_table(n: int) -> tuple[tuple[int, ...], ...]:
@@ -168,7 +161,7 @@ def _make_stock(n: int, kind: str) -> Chain:
     if not isinstance(n, int) or n < 2:
         raise InvalidSizeError(f"need n >= 2 for distinct falsity and truth, got {n!r}")
     table = _STOCK_TABLES[kind](n)
-    return Chain(size=n, tnorm=table, residuum=_derive_residuum(n, table), labels=_rational_labels(n))
+    return Chain(size=n, tnorm=table, residuum=_derive_residuum(n, table))
 
 
 def make_lukasiewicz(n: int) -> Chain:
@@ -226,10 +219,8 @@ def chain_from_dict(d: dict) -> Chain:
     kind, size = d["kind"], d["size"]
     if isinstance(size, int) and size > MAX_LOADED_CHAIN_SIZE:
         raise InvalidSizeError(f"chain size {size} exceeds the limit {MAX_LOADED_CHAIN_SIZE}")
-    if kind == "lukasiewicz":
-        return make_lukasiewicz(size)
-    if kind == "godel":
-        return make_godel(size)
+    if isinstance(kind, str) and kind in _STOCK_TABLES:
+        return _make_stock(size, kind)
     if kind == "custom":
         if "tnorm" not in d:
             raise ChainError("custom algebra fragment must carry its 'tnorm' table")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from functools import partial
 
 from . import harness, morphisms, products, solver
@@ -193,14 +194,7 @@ DEFAULT_CLOSURE_AXIOMS = ["E x . P(x)"]
 
 
 def cmd_check(args) -> int:
-    cfg = harness.GenConfig(
-        seed=args.seed,
-        max_chain=args.max_chain,
-        max_domain=args.max_domain,
-        max_depth=args.max_depth,
-        trials=args.trials,
-        allow_implication=args.allow_implication,
-    )
+    cfg = harness.GenConfig(**{f.name: getattr(args, f.name) for f in fields(harness.GenConfig)})
     if args.suite == "closure":
         lines = DEFAULT_CLOSURE_AXIOMS
         if args.axioms:
@@ -296,16 +290,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a preservation check suite")
     p.add_argument("--suite", choices=["hom", "product", "closure", "ep"], required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-domain", type=int, default=3, dest="max_domain")
-    p.add_argument("--max-chain", type=int, default=4, dest="max_chain")
-    p.add_argument("--max-depth", type=int, default=4, dest="max_depth")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--max-domain", type=int, dest="max_domain")
+    p.add_argument("--max-chain", type=int, dest="max_chain")
+    p.add_argument("--max-depth", type=int, dest="max_depth")
     p.add_argument("--allow-implication", action="store_true", dest="allow_implication")
     p.add_argument("--axioms", help="file of pp sentences for the closure suite")
     p.add_argument("--report", help="write the full report as JSON")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, **asdict(harness.GenConfig()))
 
     return parser
 

@@ -216,12 +216,12 @@ def gen_chain(rng: random.Random, max_size: int) -> Chain:
 
 # --- random languages and structures ----------------------------------------------
 
-def gen_language(rng: random.Random, max_pred_arity: int) -> Language:
+def gen_language(rng: random.Random) -> Language:
     count = rng.randint(1, 3)
     names = ("P", "Q", "R")[:count]
     predicates = {}
     for i, name in enumerate(names):
-        predicates[name] = rng.randint(1, max_pred_arity) if i == 0 else rng.randint(0, max_pred_arity)
+        predicates[name] = rng.randint(1, MAX_PRED_ARITY) if i == 0 else rng.randint(0, MAX_PRED_ARITY)
     functions: dict[str, int] = {}
     if rng.random() < 0.3:
         functions["c"] = 0
@@ -405,7 +405,7 @@ def _preservation_suite(cfg: GenConfig, suite: str, mode: str) -> CheckReport:
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, suite, trial)
         chain = gen_chain(rng, cfg.max_chain)
-        lang = gen_language(rng, MAX_PRED_ARITY)
+        lang = gen_language(rng)
         m = gen_structure(rng, chain, lang, cfg.max_domain)
         n = gen_structure(rng, chain, lang, cfg.max_domain)
         homs = find_homomorphisms(m, n)
@@ -455,7 +455,7 @@ def check_product_preservation(cfg: GenConfig) -> CheckReport:
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, "product", trial)
         chain = gen_chain(rng, cfg.max_chain)
-        lang = gen_language(rng, MAX_PRED_ARITY)
+        lang = gen_language(rng)
         count = rng.randint(2, 3)
         factors = [gen_structure(rng, chain, lang, cfg.max_domain) for _ in range(count)]
         free = list(_FREE_POOL[: rng.randint(0, 1)])
@@ -550,7 +550,7 @@ def find_below_top_counterexample(cfg: GenConfig) -> dict | None:
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, "below-top", trial)
         chain = gen_chain(rng, cfg.max_chain)
-        lang = gen_language(rng, MAX_PRED_ARITY)
+        lang = gen_language(rng)
         m = gen_structure(rng, chain, lang, cfg.max_domain)
         n = gen_structure(rng, chain, lang, cfg.max_domain)
         homs = find_homomorphisms(m, n, limit=1)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .solver import _atom_value, _kernel
 from .structures import Structure, _expansion, diagram, evaluate, expand_with_names, named_constant
@@ -116,12 +116,10 @@ def find_homomorphisms(m: Structure, n: Structure, limit: int | None = None) -> 
 
     Source elements are assigned in domain order, candidate targets tried in
     domain order, so the result order is deterministic; with ``limit=None``
-    the result is exactly the set of all homomorphisms.  Each map lists the
-    source elements in domain order.
+    the result is exactly the set of all homomorphisms, and a limit of 0 or
+    less gives no maps.  Each map lists the source elements in domain order.
     """
     _check_compatible(m, n)
-    if limit is not None and limit <= 0:
-        return []
     top = m.chain.top
     query = []
     for pname, table in m.predicates.items():
@@ -134,12 +132,8 @@ def find_homomorphisms(m: Structure, n: Structure, limit: int | None = None) -> 
             query.append(((*args, result), _equation_value, (image, args, result, top), True))
     for name, element in m.constants.items():  # a constant is a 0-ary function
         query.append(((element,), _equation_value, ({(): n.constants[name]}, (), element, top), True))
-    out: list[Mapping] = []
-    for g, _ in _kernel(m.domain, query, top, top - 1)(n.domain, {}):
-        out.append({e: g[e] for e in m.domain})
-        if len(out) == limit:
-            break
-    return out
+    maps = _kernel(m.domain, query, top, top - 1)(n.domain, {})
+    return [{e: g[e] for e in m.domain} for g, _ in islice(maps, None if limit is None else max(limit, 0))]
 
 
 def compose(g: Mapping, h: Mapping) -> Mapping:

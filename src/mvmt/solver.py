@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .structures import EvaluationError, Structure, evaluate
+from .structures import EvaluationError, Structure, _check_valuation, evaluate
 from .syntax import (
     Atom,
     Equals,
@@ -296,7 +296,8 @@ def top_decider(struct: Structure, phi: Formula, free=()):
     again for each tuple with the floor just below top: a branch is cut at
     the first leaf outside any ``\\/`` that is not top.  A prefix variable
     named in ``free`` is a :class:`FragmentError`; a free variable not named
-    there, or an element outside the domain, an :class:`EvaluationError`.
+    there, a tuple whose length is not ``len(free)``, or an element outside
+    the domain, an :class:`EvaluationError`.
     """
     prefix, order, constraints, bound = _query(struct, phi)
     shadowed = sorted(set(prefix) & set(free))
@@ -309,10 +310,11 @@ def top_decider(struct: Structure, phi: Formula, free=()):
     search = _kernel(order, constraints, top, top - 1, bound)
 
     def decide(args) -> dict[str, str] | None:
-        for name, element in zip(free, args):
-            if element not in domain:
-                raise EvaluationError(f"variable {name!r} is assigned {element!r}, outside the domain")
-        for env, _ in search(domain, dict(zip(free, args))):
+        if len(args) != len(free):
+            raise EvaluationError(f"expected {len(free)} element(s) for {list(free)}, got {len(args)}")
+        valuation = dict(zip(free, args))
+        _check_valuation(struct, valuation)
+        for env, _ in search(domain, valuation):
             return {v: env[v] for v in prefix}
         return None
 

@@ -174,10 +174,15 @@ def eval_term(struct: Structure, term: Term, valuation: Valuation) -> str:
 
 def evaluate(struct: Structure, phi: Formula, valuation: Valuation | None = None) -> int:
     """The truth value of ``phi`` in ``struct`` under ``valuation``."""
-    for name, element in (valuation or {}).items():
+    valuation = valuation or {}
+    _check_valuation(struct, valuation)
+    return _value(struct, phi, valuation)
+
+
+def _check_valuation(struct: Structure, valuation: Valuation) -> None:
+    for name, element in valuation.items():
         if element not in struct.domain:
             raise EvaluationError(f"variable {name!r} is assigned {element!r}, outside the domain")
-    return _value(struct, phi, valuation or {})
 
 
 def _value(struct: Structure, f: Formula, env: Valuation) -> int:

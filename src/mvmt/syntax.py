@@ -420,8 +420,8 @@ class _Parser:
         self.inferred_preds: dict[str, int] = {}
         self.inferred_funcs: dict[str, int] = {}
 
-    def peek(self, k: int = 0) -> tuple[str, str, int]:
-        return self.tokens[min(self.i + k, len(self.tokens) - 1)]
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
 
     def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]

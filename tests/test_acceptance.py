@@ -89,7 +89,7 @@ def test_criterion_2_semantics_oracle():
         for t in range(1000):
             rng = trial_rng(2, "acceptance-semantics", t)
             chain = gen_chain(rng, 4)
-            lang = gen_language(rng, 2)
+            lang = gen_language(rng)
             s = gen_structure(rng, chain, lang, 3)
             free = ["u", "w"][: rng.randint(0, 2)]
             phi = gen_full_formula(rng, lang, free, 4)
@@ -105,7 +105,7 @@ def test_criterion_3_normal_form_equivalence():
         violations = 0
         for t in range(500):
             rng = trial_rng(3, "acceptance-nf", t)
-            lang = gen_language(rng, 2)
+            lang = gen_language(rng)
             free = ["u", "w"][: rng.randint(0, 2)]
             phi = gen_pp_formula(rng, lang, free, 4)
             nf = pp_normal_form(phi)
@@ -125,7 +125,7 @@ def test_criterion_4_ep_decomposition():
         for t in range(500):
             rng = trial_rng(4, "acceptance-ep", t)
             chain = gen_chain(rng, 4)
-            lang = gen_language(rng, 2)
+            lang = gen_language(rng)
             s = gen_structure(rng, chain, lang, 3)
             phi = gen_ep_formula(rng, lang, [], 4)
             parts = ep_to_pp_disjunction(phi)
@@ -166,7 +166,7 @@ def test_criterion_7_projections_are_homomorphisms():
         for t in range(200):
             rng = trial_rng(7, "acceptance-proj", t)
             chain = gen_chain(rng, 4)
-            lang = gen_language(rng, 2)
+            lang = gen_language(rng)
             count = rng.randint(1, 3)
             factors = [gen_structure(rng, chain, lang, 2) for _ in range(count)]
             if t % 2 == 0:
@@ -184,7 +184,7 @@ def test_criterion_8_diagram_lemma():
         for t in range(300):
             rng = trial_rng(8, "acceptance-diagram", t)
             chain = gen_chain(rng, 4)
-            lang = gen_language(rng, 2)
+            lang = gen_language(rng)
             m = gen_structure(rng, chain, lang, 3)
             n = gen_structure(rng, chain, lang, 3)
             check_diagram_lemma(m, n)  # raises on any disagreement
@@ -214,7 +214,7 @@ def test_criterion_10_solver_equivalence():
         for t in range(500):
             rng = trial_rng(10, "acceptance-solver", t)
             chain = gen_chain(rng, 4)
-            lang = gen_language(rng, 2)
+            lang = gen_language(rng)
             s = gen_structure(rng, chain, lang, 3)
             phi = gen_pp_formula(rng, lang, [], 4)
             result = solve_pp(s, phi)

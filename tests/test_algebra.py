@@ -4,6 +4,7 @@ import pytest
 
 import mvmt.algebra
 from mvmt import (
+    ChainError,
     ElementRangeError,
     InvalidSizeError,
     InvalidTableError,
@@ -33,7 +34,14 @@ def test_lukasiewicz_two_is_boolean():
 def test_lukasiewicz_three_nilpotent():
     c = make_lukasiewicz(3)
     assert c.tnorm[1][1] == 0
-    assert c.labels == ("0/2", "1/2", "2/2")
+    assert [c.label(k) for k in range(3)] == ["0/2", "1/2", "2/2"]
+
+
+def test_labels_follow_the_size():
+    assert make_custom(1, [[0]]).label(0) == "0/0"
+    assert [make_godel(2).label(k) for k in range(2)] == ["0/1", "1/1"]
+    with pytest.raises(ElementRangeError):
+        make_lukasiewicz(3).label(3)
 
 
 @pytest.mark.parametrize("factory", [make_lukasiewicz, make_godel])
@@ -187,6 +195,9 @@ def test_kind_detection_and_dict_round_trip():
     assert chain_from_dict(chain_to_dict(custom)) == custom
     # n = 2 is both families; detection must still round-trip
     assert chain_from_dict(chain_to_dict(make_godel(2))) == make_godel(2)
+    for kind in ("mystery", ["godel"], {"godel": 1}, None):
+        with pytest.raises(ChainError, match="unknown algebra kind"):
+            chain_from_dict({"kind": kind, "size": 3})
 
 
 def test_kind_detection_builds_no_residuum(monkeypatch):

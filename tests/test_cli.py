@@ -104,6 +104,8 @@ def test_hom_listing_deterministic(capsys, two_point_file):
     assert code2 == 0
     data = json.loads(out2)
     assert data["homomorphisms"] == [{"map": {"a": "a", "b": "a"}}, {"map": {"a": "a", "b": "b"}}]
+    none = run(capsys, "hom", "--from", two_point_file, "--to", two_point_file, "--limit", "0")
+    assert none == (0, "", "")
 
 
 def test_product_emits_loadable_structure(capsys, two_point_file, tmp_path):
@@ -226,6 +228,17 @@ def test_check_pass_and_report(capsys, tmp_path):
     assert "verdict pass" in out
     data = json.loads(report.read_text())
     assert data["suite"] == "hom" and data["verdict"] == "pass"
+
+
+def test_check_bounds_default_to_gen_config(capsys, tmp_path):
+    bounds = ("--seed", "0", "--trials", "200", "--max-domain", "3", "--max-chain", "4", "--max-depth", "4")
+    runs = []
+    for name, extra in (("r1.json", ()), ("r2.json", bounds)):
+        report = tmp_path / name
+        code, out, err = run(capsys, "check", "--suite", "hom", "--report", str(report), *extra)
+        runs.append((code, out, err, report.read_bytes()))
+    assert runs[0] == runs[1]
+    assert "trials 200" in runs[0][1].splitlines()
 
 
 def test_check_violation_exit_code(capsys):

@@ -31,7 +31,6 @@ from mvmt.harness import (
     FAIL,
     INCONCLUSIVE,
     MAX_DEPTH,
-    MAX_PRED_ARITY,
     PASS,
     gen_chain,
     gen_ep_formula,
@@ -70,7 +69,7 @@ def test_generators_respect_bounds_and_fragments():
         rng = trial_rng(3, "bounds", t)
         chain = gen_chain(rng, 4)
         assert 2 <= chain.size <= 4
-        lang = gen_language(rng, 2)
+        lang = gen_language(rng)
         assert all(0 <= ar <= 2 for ar in lang.predicates.values())
         s = gen_structure(rng, chain, lang, 3)
         assert 1 <= len(s.domain) <= 3
@@ -186,7 +185,7 @@ def test_formula_draws_are_pinned(mix):
     texts = []
     for t in range(300):
         rng = trial_rng(9, f"draws-{mix}", t)
-        lang = gen_language(rng, MAX_PRED_ARITY)
+        lang = gen_language(rng)
         free = ["u", "w"][: rng.randint(0, 2)]
         if mix == "full":
             phi = gen_full_formula(rng, lang, free, 5)
@@ -210,7 +209,7 @@ def test_violations_match_reference_per_homomorphism(suite, mode):
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, suite, trial)
         chain = gen_chain(rng, cfg.max_chain)
-        lang = gen_language(rng, MAX_PRED_ARITY)
+        lang = gen_language(rng)
         m = gen_structure(rng, chain, lang, cfg.max_domain)
         n = gen_structure(rng, chain, lang, cfg.max_domain)
         homs = find_homomorphisms(m, n)
@@ -258,7 +257,7 @@ def test_identity_homomorphisms_trivially_preserve():
     for t in range(80):
         rng = trial_rng(31, "identity", t)
         chain = gen_chain(rng, 4)
-        lang = gen_language(rng, 2)
+        lang = gen_language(rng)
         m = gen_structure(rng, chain, lang, 3)
         phi = gen_pp_formula(rng, lang, ["u"], 4)
         g = identity_mapping(m)

@@ -39,7 +39,7 @@ def test_identity_and_composition():
     for t in range(25):
         rng = trial_rng(5, "comp", t)
         chain = gen_chain(rng, 4)
-        lang = gen_language(rng, 2)
+        lang = gen_language(rng)
         m = gen_structure(rng, chain, lang, 3)
         n = gen_structure(rng, chain, lang, 3)
         k = gen_structure(rng, chain, lang, 3)
@@ -88,7 +88,7 @@ def test_find_all_against_exhaustive_enumeration():
     for t in range(30):
         rng = trial_rng(13, "exhaustive", t)
         chain = gen_chain(rng, 4)
-        lang = gen_language(rng, 2)
+        lang = gen_language(rng)
         m = gen_structure(rng, chain, lang, 3)
         n = gen_structure(rng, chain, lang, 3)
         found = find_homomorphisms(m, n)
@@ -121,13 +121,14 @@ def test_limit_is_prefix_of_all():
     every = find_homomorphisms(m, n)
     assert find_homomorphisms(m, n, limit=2) == every[:2]
     assert find_homomorphisms(m, n, limit=10) == every
+    assert find_homomorphisms(m, n, limit=0) == find_homomorphisms(m, n, limit=-1) == []
 
 
 def test_self_homomorphisms_include_identity():
     for t in range(20):
         rng = trial_rng(19, "self", t)
         chain = gen_chain(rng, 4)
-        lang = gen_language(rng, 2)
+        lang = gen_language(rng)
         m = gen_structure(rng, chain, lang, 3)
         assert identity_mapping(m) in find_homomorphisms(m, m)
 
@@ -169,7 +170,7 @@ def test_diagram_lemma_randomized():
     for t in range(60):
         rng = trial_rng(29, "lemma", t)
         chain = gen_chain(rng, 4)
-        lang = gen_language(rng, 2)
+        lang = gen_language(rng)
         m = gen_structure(rng, chain, lang, 3)
         n = gen_structure(rng, chain, lang, 3)
         check_diagram_lemma(m, n)

@@ -141,7 +141,7 @@ def test_product_preservation_spot_checks():
     for t in range(40):
         rng = trial_rng(37, "prodspot", t)
         chain = gen_chain(rng, 4)
-        lang = gen_language(rng, 2)
+        lang = gen_language(rng)
         count = rng.randint(2, 3)
         factors = [gen_structure(rng, chain, lang, 2) for _ in range(count)]
         phi = gen_pp_formula(rng, lang, [], 3)
@@ -155,7 +155,7 @@ def test_model_of_pp_axioms_closed_under_product():
     for t in range(30):
         rng = trial_rng(53, "prodmodel", t)
         chain = gen_chain(rng, 4)
-        lang = gen_language(rng, 2)
+        lang = gen_language(rng)
         m = gen_structure(rng, chain, lang, 3)
         n = gen_structure(rng, chain, lang, 3)
         phi = gen_pp_formula(rng, lang, [], 3)

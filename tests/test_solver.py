@@ -79,7 +79,7 @@ def test_solve_pp_matches_evaluation_randomized():
     for t in range(200):
         rng = trial_rng(61, "solve", t)
         chain = gen_chain(rng, 4)
-        lang = gen_language(rng, 2)
+        lang = gen_language(rng)
         s = gen_structure(rng, chain, lang, 3)
         phi = gen_pp_formula(rng, lang, [], 4)
         r = solve_pp(s, phi)
@@ -135,7 +135,7 @@ def test_solve_ep_matches_evaluation_randomized():
     for t in range(200):
         rng = trial_rng(67, "solve-ep", t)
         chain = gen_chain(rng, 4)
-        lang = gen_language(rng, 2)
+        lang = gen_language(rng)
         s = gen_structure(rng, chain, lang, 3)
         phi = gen_ep_formula(rng, lang, [], 4)
         r = solve_ep(s, phi)
@@ -181,7 +181,7 @@ def test_top_decider_matches_reference_randomized():
     for t in range(500):
         rng = trial_rng(71, "decider", t)
         chain = gen_chain(rng, 4)
-        lang = gen_language(rng, 2)
+        lang = gen_language(rng)
         s = gen_structure(rng, chain, lang, 3)
         free = ["u", "w"][: rng.randint(0, 2)]
         mode = ("pp", "ep", "pp_imp", "ep_imp")[t % 4]
@@ -237,6 +237,18 @@ def test_top_decider_rejects_an_element_outside_the_domain():
     outside = r"^variable 'x' is assigned 'zz', outside the domain$"
     with pytest.raises(EvaluationError, match=outside):
         decide(("zz",))
+
+
+def test_top_decider_rejects_a_tuple_of_the_wrong_length():
+    # Short, the table lookup of Q(x, z) would find no z; long, the extra
+    # element would be dropped and a witness returned.
+    s = build(CHAIN3, ("a", "b"), preds={"P": (1, 0, {("a",): 2}), "Q": (2, 2, {})})
+    decide = top_decider(s, parse_formula("E y . Q(x, z) & P(y)", s.lang), ["x", "z"])
+    assert decide(("a", "b")) == {"y": "a"}
+    for args in (("a",), ("a", "b", "b")):
+        wrong = rf"^expected 2 element\(s\) for \['x', 'z'\], got {len(args)}$"
+        with pytest.raises(EvaluationError, match=wrong):
+            decide(args)
 
 
 def test_unknown_predicate_is_an_evaluation_error():

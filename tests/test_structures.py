@@ -183,7 +183,7 @@ def test_diagram_complete_and_sound():
     for t in range(30):
         rng = trial_rng(17, "diag", t)
         chain = gen_chain(rng, 4)
-        lang = gen_language(rng, 2)
+        lang = gen_language(rng)
         s = gen_structure(rng, chain, lang, 3)
         ms = expand_with_names(s)
         listed = {to_text(f) for f in diagram(s)}
@@ -211,7 +211,7 @@ def test_monotone_raising_without_implication():
     for t in range(60):
         rng = trial_rng(41, "mono", t)
         chain = gen_chain(rng, 4)
-        lang = gen_language(rng, 2)
+        lang = gen_language(rng)
         s = gen_structure(rng, chain, lang, 3)
         from mvmt.harness import gen_ep_formula
 
@@ -244,7 +244,7 @@ def test_quantifier_witness_attained():
     for t in range(40):
         rng = trial_rng(43, "witness", t)
         chain = gen_chain(rng, 4)
-        lang = gen_language(rng, 2)
+        lang = gen_language(rng)
         s = gen_structure(rng, chain, lang, 3)
         from mvmt.harness import gen_pp_formula
 

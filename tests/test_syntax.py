@@ -237,7 +237,7 @@ def test_classify_more_cases():
 def test_classify_containments_on_random_formulas():
     for t in range(200):
         rng = trial_rng(11, "containment", t)
-        lang = gen_language(rng, 2)
+        lang = gen_language(rng)
         phi = gen_ep_formula(rng, lang, ["u"], 4)
         tags = classify(phi)
         if "wedge_primitive" in tags or "amp_primitive" in tags:
@@ -384,7 +384,7 @@ def test_normal_forms_value_preserving_randomized():
     violations = 0
     for t in range(500):
         rng = trial_rng(23, "nf", t)
-        lang = gen_language(rng, 2)
+        lang = gen_language(rng)
         from mvmt.harness import gen_chain, gen_structure
 
         chain = gen_chain(rng, 4)
@@ -407,7 +407,7 @@ def test_normal_forms_value_preserving_randomized():
 def test_print_parse_round_trip_randomized():
     for t in range(300):
         rng = trial_rng(31, "roundtrip", t)
-        lang = gen_language(rng, 2)
+        lang = gen_language(rng)
         phi = gen_full_formula(rng, lang, ["u"], 4)
         again = parse_formula(to_text(phi), lang)
         assert alpha_equal(phi, again), to_text(phi)
