@@ -71,11 +71,11 @@ _USAGE_ERRORS = (
 )
 
 
-def _parse_with(struct, text):
-    if struct is not None:
-        return parse_formula(text, struct.lang)
-    formula, _ = infer_formula(text)
-    return formula
+def _formula(args):
+    """``--formula`` in the language of ``--structure``, or in one inferred without it."""
+    if args.structure:
+        return parse_formula(args.formula, _load(args.structure).lang)
+    return infer_formula(args.formula)[0]
 
 
 def _parse_assignments(pairs, domain):
@@ -139,8 +139,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    struct = _load(args.structure) if args.structure else None
-    phi = _parse_with(struct, args.formula)
+    phi = _formula(args)
     tags = sorted(classify(phi))
     fv = sorted(free_vars(phi))
     _emit(
@@ -152,8 +151,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    struct = _load(args.structure) if args.structure else None
-    phi = _parse_with(struct, args.formula)
+    phi = _formula(args)
     out = [to_text(d) for d in ep_to_pp_disjunction(phi)]
     _emit({"formulas": out}, args.json, out)
     return EXIT_OK

@@ -174,8 +174,6 @@ def enumerate_tnorm_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """
     if n > 6:
         raise HarnessError("table enumeration is only intended for n <= 6")
-    if n == 1:
-        return (((0,),),)
     table = [[0] * n for _ in range(n)]
     for j in range(n):
         table[n - 1][j] = j
@@ -273,10 +271,8 @@ def _gen_term(rng: random.Random, lang: Language, scope: list[str]):
     roll = rng.random()
     if scope and (roll < 0.7 or not constants):
         base = Var(rng.choice(scope))
-    elif constants:
-        base = App(rng.choice(constants))
     else:
-        base = Var(rng.choice(scope))
+        base = App(rng.choice(constants))
     if unary and rng.random() < 0.2:
         return App(rng.choice(unary), (base,))
     return base

@@ -7,10 +7,10 @@ Values below the top impose no constraint, and equality contributes nothing
 not be injective.  An embedding is an injective homomorphism; an isomorphism
 is a surjective embedding.
 
-:func:`find_homomorphisms` searches the canonical query of the source, a
-fact per top tuple (:meth:`PredTable.top_tuples`), with the solver's kernel
-from the floor just below top, which tests a fact ahead only once; a fact is
-one table lookup, as a pp atom over variables is.  :func:`check_homomorphism`
+:func:`find_homomorphisms` searches the canonical query of the source with
+the solver's kernel from the floor just below top.  Every fact is one table
+lookup, as a pp atom over variables is: a top tuple in a predicate table, a
+function-table entry or a constant in its graph.  :func:`check_homomorphism`
 checks the definition directly and serves as its independent oracle.
 """
 
@@ -104,11 +104,6 @@ def classify_morphism(g: Mapping, m: Structure, n: Structure) -> str:
     return ISOMORPHISM
 
 
-def _equation_value(env: Mapping, data) -> int:
-    image, args, result, top = data
-    return top if image[tuple([env[a] for a in args])] == env[result] else 0
-
-
 def find_homomorphisms(m: Structure, n: Structure, limit: int | None = None) -> list[Mapping]:
     """Homomorphisms from ``m`` to ``n``: the solutions over ``n.domain`` of
     the canonical query of ``m``, one constraint per top-valued predicate
@@ -126,12 +121,12 @@ def find_homomorphisms(m: Structure, n: Structure, limit: int | None = None) -> 
         target = n.predicates[pname]
         for args in table.top_tuples(m.domain, top):
             query.append((args, _atom_value, (target.entries, target.default, args), True))
-    for fname, table in m.functions.items():
-        image = n.functions[fname]
+    for fname, table in m.functions.items():  # a function is its graph
+        graph = {(*args, result): top for args, result in n.functions[fname].items()}
         for args, result in table.items():
-            query.append(((*args, result), _equation_value, (image, args, result, top), True))
+            query.append(((*args, result), _atom_value, (graph, 0, (*args, result)), True))
     for name, element in m.constants.items():  # a constant is a 0-ary function
-        query.append(((element,), _equation_value, ({(): n.constants[name]}, (), element, top), True))
+        query.append(((element,), _atom_value, ({(n.constants[name],): top}, 0, (element,)), True))
     maps = _kernel(m.domain, query, top, top - 1)(n.domain, {})
     return [{e: g[e] for e in m.domain} for g, _ in islice(maps, None if limit is None else max(limit, 0))]
 

@@ -20,9 +20,9 @@ to assign), once per element left for the last, and drops the elements that
 fail it.  Only a search from below top - 1 reads the kept value back.
 
 A predicate atom over variables is tested by :func:`_atom_value`, one
-lookup in its table, which the homomorphism search shares; the other
-leaves of the matrix, such as implications and atoms over function terms,
-are valued by :func:`evaluate`.
+lookup in its table; the homomorphism search tests every fact so, a function
+or constant in its graph.  The other leaves of the matrix, such as
+implications and atoms over function terms, are valued by :func:`evaluate`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .syntax import (
     Formula,
     Or,
     StrongAnd,
-    TruthConst,
     Var,
     WeakAnd,
     classify,
@@ -68,19 +67,6 @@ def _require_sentence(phi: Formula, fragment: str, described: str) -> None:
         raise FragmentError(f"not {described}: {to_text(phi)}")
     if SENTENCE not in tags:
         raise FragmentError(f"not a sentence: free variables {sorted(free_vars(phi))}")
-
-
-def _top_tuple_count(struct: Structure, atom: Formula) -> int:
-    """How many argument tuples give this atom the top value; the search
-    assigns variables with the scarcest support first."""
-    if isinstance(atom, Equals):
-        return len(struct.domain)
-    if isinstance(atom, TruthConst):
-        return len(struct.domain) if atom.element in (None, struct.chain.top) else 0
-    assert isinstance(atom, Atom)
-    if atom.pred in struct.lang.algebra_constants:
-        return 1 if struct.lang.algebra_constants[atom.pred] == struct.chain.top else 0
-    return len(struct.predicates[atom.pred].top_tuples(struct.domain, struct.chain.top))
 
 
 def _kernel(order, constraints, top, floor, bound=None):
@@ -208,8 +194,10 @@ def _query(struct: Structure, phi: Formula):
     The matrix is read as ``&``, ``/\\`` and ``\\/`` over leaves: atoms,
     and any other subformula (such as an implication), which
     :func:`evaluate` values.  The order sorts the prefix by each variable's
-    score, the least top support among its atoms (unconstrained last, and
-    other leaves do not score), then by name.
+    score, then by name.  The score is the least support among the leaves
+    where the variable occurs, read where the leaf's test is built: the
+    domain size for an equality, the number of top tuples for a predicate
+    table atom; other leaves do not score, and unscored variables come last.
 
     The walk appends each leaf's constraint at the index that the bound
     reads the leaf's value from.  The bound is monotone, so with untested
@@ -222,14 +210,7 @@ def _query(struct: Structure, phi: Formula):
     tnorm, algebra_constants = struct.chain.tnorm, struct.lang.algebra_constants
     constraints: list[tuple] = []
     scores: dict[str, int] = {}
-    supports: dict[str, int] = {}  # _top_tuple_count per predicate name
-
-    def support_of(f: Formula) -> int:
-        if not isinstance(f, Atom):
-            return _top_tuple_count(struct, f)
-        if f.pred not in supports:
-            supports[f.pred] = _top_tuple_count(struct, f)
-        return supports[f.pred]
+    supports: dict[str, int] = {}  # top tuples per predicate name
 
     def build(f: Formula, in_or: bool):
         if isinstance(f, WeakAnd):
@@ -242,20 +223,22 @@ def _query(struct: Structure, phi: Formula):
             left, right = build(f.left, True), build(f.right, True)
             return lambda values: max(left(values), right(values))
         variables = free_vars(f)
-        test, data = _evaluate_leaf, (struct, f)
-        if isinstance(f, Atom):
-            # read the table directly where evaluate would read it at the
-            # variables' values; algebra constants first, as in evaluate
-            table = None if f.pred in algebra_constants else struct.predicates.get(f.pred)
-            if table is None and f.pred not in algebra_constants:
+        test, data, support = _evaluate_leaf, (struct, f), float("inf")
+        if isinstance(f, Equals):
+            support = len(struct.domain)
+        elif isinstance(f, Atom) and f.pred not in algebra_constants:  # as evaluate, constants first
+            table = struct.predicates.get(f.pred)
+            if table is None:
                 raise EvaluationError(f"unknown predicate symbol {f.pred!r}")
+            if f.pred not in supports:
+                supports[f.pred] = len(table.top_tuples(struct.domain, struct.chain.top))
+            support = supports[f.pred]
+            # read the table directly where evaluate would read it at the variables' values
             args = tuple([a.name for a in f.args if isinstance(a, Var)])
-            if table is not None and table.arity == len(args) == len(f.args):
+            if table.arity == len(args) == len(f.args):
                 test, data = _atom_value, (table.entries, table.default, args)
-        if isinstance(f, (Atom, Equals, TruthConst)):
-            support = support_of(f)
-            for name in variables:
-                scores[name] = min(scores.get(name, support), support)
+        for name in variables:
+            scores[name] = min(scores.get(name, support), support)
         constraints.append((variables, test, data, not in_or))
         return itemgetter(len(constraints) - 1)
 

@@ -29,9 +29,9 @@ never captures.  One non-recursive walk over the levels of the syntax tree
 serves the nesting check, the function symbols and :func:`classify`.
 
 One expander implements the fragment normal forms: it distributes an EP
-matrix into canonical pp disjuncts, dropping duplicates as it goes, and
-:func:`ep_to_pp_disjunction` and :func:`pp_normal_form` both return its
-result.  It relies only on laws that hold in every finite chain: min/max
+matrix into canonical pp disjuncts, dropping duplicates as it goes;
+:func:`ep_to_pp_disjunction` returns them, and :func:`pp_normal_form` the
+single one of a pp formula.  It relies only on laws that hold in every finite chain: min/max
 distribute over each other, the conjunction table distributes over min and
 max (monotonicity plus linearity), and existential quantifiers distribute
 over max.
@@ -96,7 +96,7 @@ class Language:
             if not isinstance(ar, int) or ar < 0:
                 raise LanguageError(f"arity of {name!r} must be a natural number, got {ar!r}")
         for name in names:
-            if not _NAME_RE.fullmatch(name) or name in _RESERVED:
+            if not is_symbol_name(name):
                 raise LanguageError(f"invalid symbol name {name!r}")
 
 
@@ -709,9 +709,7 @@ def pp_normal_form(phi: Formula) -> Formula:
     """
     if PP not in classify(phi):
         raise FragmentError(f"not a pp formula: {to_text(phi)}")
-    prefix, matrix = strip_exists_prefix(phi)
-    atoms: dict[str, Formula] = {}
-    return _rebuild(prefix, _disjuncts(matrix, atoms)[0], atoms)
+    return ep_to_pp_disjunction(phi)[0]
 
 
 def is_pp_normal_shape(phi: Formula) -> bool:

@@ -50,6 +50,8 @@ def test_size_one_rejected(factory):
         factory(1)
     with pytest.raises(InvalidSizeError):
         factory(0)
+    with pytest.raises(InvalidSizeError, match=r"^chain size must be a positive integer, got 0$"):
+        make_custom(0, ())
 
 
 def test_godel_examples():
@@ -198,6 +200,10 @@ def test_kind_detection_and_dict_round_trip():
     for kind in ("mystery", ["godel"], {"godel": 1}, None):
         with pytest.raises(ChainError, match="unknown algebra kind"):
             chain_from_dict({"kind": kind, "size": 3})
+    with pytest.raises(ChainError, match=r"^algebra fragment must carry 'kind' and 'size'$"):
+        chain_from_dict({"size": 3})
+    with pytest.raises(ChainError, match=r"^custom algebra fragment must carry its 'tnorm' table$"):
+        chain_from_dict({"kind": "custom", "size": 2})
 
 
 def test_kind_detection_builds_no_residuum(monkeypatch):

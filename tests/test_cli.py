@@ -64,6 +64,22 @@ def test_classify_without_structure(capsys):
     assert out == "tags existential_positive sentence\nfree -\n"
 
 
+def test_classify_and_normalize_read_the_structure_language(capsys, tmp_path):
+    # with --structure, c is the structure's constant; without, a variable
+    s = build(make_lukasiewicz(3), ("a",), preds={"P": (1, 0, {}), "Q": (1, 0, {})}, consts={"c": "a"})
+    path = str(tmp_path / "s.json")
+    save_structure(s, path)
+    code, out, _ = run(capsys, "classify", "--formula", "P(c)", "--structure", path)
+    assert code == 0 and out.splitlines()[1] == "free -"
+    assert "sentence" in out.splitlines()[0].split()
+    code, out, _ = run(capsys, "classify", "--formula", "P(c)")
+    assert code == 0 and out.splitlines()[1] == "free c"
+    text = "E x . P(x) & (Q(x) \\/ P(x))"
+    code, out, _ = run(capsys, "normalize", "--formula", text, "--structure", path)
+    assert code == 0
+    assert out == run(capsys, "normalize", "--formula", text)[1] == "E x . P(x) & Q(x)\nE x . P(x) & P(x)\n"
+
+
 def test_normalize_pp_and_ep(capsys):
     code, out, _ = run(capsys, "normalize", "--formula", "E x . P(x) & (Q(x) /\\ R(x))")
     assert code == 0
@@ -317,6 +333,9 @@ def test_usage_errors(capsys, two_point_file):
     assert err == "error: not an existential positive formula: A x . P(x)\n"
     code, _, err = run(capsys, "nonsense")
     assert code == 1
+    code, _, err = run(capsys, "eval", "--structure", two_point_file, "--formula", "P(x)", "--assign", "xa")
+    assert code == 1
+    assert err == "error: --assign expects var=element, got 'xa'\n"
 
 
 def test_input_file_errors(capsys, tmp_path):
@@ -326,6 +345,10 @@ def test_input_file_errors(capsys, tmp_path):
     bad.write_text("{]")
     code, _, err = run(capsys, "eval", "--structure", str(bad), "--formula", "1")
     assert code == 4
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run(capsys, "check", "--suite", "closure", "--axioms", missing)
+    assert code == 4 and out == ""
+    assert err.startswith(f"error: cannot read {missing}: ")
 
 
 def test_oversized_chain_is_rejected(capsys, tmp_path, two_point_file):

@@ -330,7 +330,7 @@ def test_enumeration_matches_brute_force(n):
 
 def test_enumeration_counts_frozen():
     # regression freeze; 2..4 are independently cross-checked above
-    assert [len(enumerate_tnorm_tables(n)) for n in (2, 3, 4, 5, 6)] == [1, 2, 6, 22, 94]
+    assert [len(enumerate_tnorm_tables(n)) for n in (1, 2, 3, 4, 5, 6)] == [1, 1, 2, 6, 22, 94]
 
 
 def test_random_custom_chain_valid():

@@ -116,6 +116,8 @@ def test_nested_products():
     p = direct_product([m, n])
     q = direct_product([p, m])
     assert split_product_name(q.domain[0]) == ["(a|c)", "a"]
+    for name in ("(a|)", "((a)", "(a))", "(a|b", "()"):
+        assert split_product_name(name) is None, name
     assert is_homomorphism(projection(q, 0), q, p)
     assert is_homomorphism(projection(q, 1), q, m)
 

@@ -52,6 +52,14 @@ def test_eval_term_cases():
     assert eval_term(s, App("f", (App("c"),)), {}) == "b"
     with pytest.raises(EvaluationError):
         eval_term(s, Var("x"), {})
+    with pytest.raises(EvaluationError, match=r"^unknown function symbol 'g'$"):
+        eval_term(s, App("g", (Var("x"),)), {"x": "a"})
+    with pytest.raises(EvaluationError, match=r"applied to 2 argument\(s\), expected 1$"):
+        eval_term(s, App("f", (Var("x"), Var("x"))), {"x": "a"})
+    with pytest.raises(EvaluationError, match=r"^unknown predicate symbol 'Z'$"):
+        evaluate(s, Atom("Z", (Var("x"),)), {"x": "a"})
+    with pytest.raises(EvaluationError, match=r"^cannot evaluate node str$"):
+        evaluate(s, "P(x)")
 
 
 def test_an_assignment_outside_the_domain_is_an_evaluation_error():
@@ -119,8 +127,11 @@ def test_expand_with_names_clash():
     # existing constant with the right interpretation is absorbed
     assert expand_with_names(s).constants == {"c_a": "a"}
     t = build(CHAIN3, ("a", "b"), preds={"P": (1, 0, {})}, consts={"c_a": "b"})
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match=r"^cannot add constant 'c_a': name already in use$"):
         expand_with_names(t)
+    u = build(CHAIN3, ("a",), preds={"P": (1, 0, {})}, funcs={"c_a": {("a",): "a"}})
+    with pytest.raises(StructureError, match=r"^cannot add constant 'c_a': name already in use$"):
+        expand_with_names(u)
 
 
 def test_expand_with_truth_constants():
@@ -160,6 +171,9 @@ def test_expand_with_truth_constants_clash():
     s = build(CHAIN3, ("a",), preds={"d_0": (1, 0, {})})
     with pytest.raises(StructureError):
         expand_with_truth_constants(s)
+    t = build(CHAIN3, ("a",), preds={"P": (1, 0, {})}, algebra_consts={"d_1": 2})
+    with pytest.raises(StructureError, match=r"^cannot add truth constant 'd_1': name already in use$"):
+        expand_with_truth_constants(t)
 
 
 def test_diagram_includes_top_algebra_constant():
@@ -284,7 +298,19 @@ def test_structure_validation_errors():
             predicates={"P": PredTable(1)},
             functions={"f": {("a",): "b"}},
         )
+    with pytest.raises(StructureError, match=r"^function tables do not match the language$"):
+        Structure(chain=CHAIN3, lang=lang_f, domain=("a",), predicates={"P": PredTable(1)})
+    with pytest.raises(StructureError, match=r"^function 'f' maps \('a',\) outside the domain$"):
+        Structure(
+            chain=CHAIN3,
+            lang=lang_f,
+            domain=("a",),
+            predicates={"P": PredTable(1)},
+            functions={"f": {("a",): "z"}},
+        )
     lang_c = Language(predicates={"P": 1}, functions={"c": 0})
+    with pytest.raises(StructureError, match=r"^constant interpretations do not match the language$"):
+        Structure(chain=CHAIN3, lang=lang_c, domain=("a",), predicates={"P": PredTable(1)})
     with pytest.raises(StructureError):
         Structure(
             chain=CHAIN3,
@@ -378,6 +404,13 @@ def test_json_malformed_inputs():
     bad2["algebra"] = {"kind": "mystery", "size": 3}
     with pytest.raises(StructureError):
         structure_from_dict(bad2)
+    # a 0-ary table has one entry, under the empty key, which loads as its default
+    zero = structure_to_dict(build(CHAIN3, ("a",), preds={"R": (0, 0, {})}))
+    zero["predicates"]["R"]["entries"] = {"": 2}
+    assert structure_from_dict(zero).predicates["R"] == PredTable(0, 2, {})
+    zero["predicates"]["R"]["entries"] = {"a": 2}
+    with pytest.raises(StructureError, match=r"^0-ary entry key must be empty, got 'a'$"):
+        structure_from_dict(zero)
 
 
 def test_godel_chain_serialization_in_structure():

@@ -119,6 +119,12 @@ def test_parse_errors():
         parse_formula("P(Q)", LANG)
     with pytest.raises(ParseError):
         parse_formula("P(x) # Q(x)", LANG)
+    with pytest.raises(ParseError, match="@ must be followed by an element index"):
+        parse_formula("@ x", LANG)
+    with pytest.raises(ParseError, match="'E' is reserved for quantifiers"):
+        parse_formula("P(E)", LANG)
+    with pytest.raises(ParseError, match="expected a term, found '1'"):
+        parse_formula("P(1)", LANG)
 
 
 def _conjunction_chain(k):
@@ -185,6 +191,8 @@ def test_reserved_names():
         Language(predicates={"E": 1})
     with pytest.raises(LanguageError):
         Language(predicates={"P": 1}, functions={"P": 0})
+    with pytest.raises(LanguageError, match=r"^arity of 'P' must be a natural number, got 1\.5$"):
+        Language(predicates={"P": 1.5})
 
 
 def test_rename_apart_nested_shadowing():
