@@ -269,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hom", help="search for homomorphisms")
     p.add_argument("--from", dest="source", required=True)
     p.add_argument("--to", dest="target", required=True)
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--limit", type=int)
+    limits = p.add_mutually_exclusive_group()
+    limits.add_argument("--all", action="store_true")
+    limits.add_argument("--limit", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_hom)
 

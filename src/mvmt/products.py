@@ -14,13 +14,13 @@ Every table is filled from the factors' rows: each factor's argument
 tuples with their value or function output, read once.  A product cell is
 one row per factor.  Under "min" the rows valued 0 are dropped first, since
 a cell with a coordinate at 0 is 0, the default; a scrambled cell below top
-seeds one reused generator with a string naming the policy seed, the
-symbol and the cell's arguments.
+takes the CRC-32 of a string naming the policy seed, the symbol and the
+cell's arguments, modulo top.
 """
 
 from __future__ import annotations
 
-import random
+import zlib
 from itertools import product as iproduct
 from operator import add
 from typing import Sequence
@@ -118,7 +118,6 @@ def weak_product(factors: Sequence[Structure], policy: str = "min", seed: int = 
             functions[f] = {a: names[i] for a, i in _cells(rows, offsets, names, arity, 0, add)}
     # Below top a 2-element chain has only 0, so there the policies agree.
     scrambled = policy == "scrambled" and top > 1
-    rng = random.Random()
     predicates = {}
     for p, arity in lang.predicates.items():
         rows = [
@@ -130,8 +129,7 @@ def weak_product(factors: Sequence[Structure], policy: str = "min", seed: int = 
         entries = predicates[p] = {}
         for args, value in _cells(rows, offsets, names, arity, top, min):
             if scrambled and value != top:
-                rng.seed(f"{seed}:{p}:{','.join(args)}")
-                value = rng.randrange(top)
+                value = zlib.crc32(f"{seed}:{p}:{','.join(args)}".encode()) % top
             if value:
                 entries[args] = value
     return Structure(

@@ -278,10 +278,12 @@ def top_decider(struct: Structure, phi: Formula, free=()):
     The query and its search plan are built once, and the search is run
     again for each tuple with the floor just below top: a branch is cut at
     the first leaf outside any ``\\/`` that is not top.  A prefix variable
-    named in ``free`` is a :class:`FragmentError`; a free variable not named
-    there, a tuple whose length is not ``len(free)``, or an element outside
-    the domain, an :class:`EvaluationError`.
+    named in ``free`` is a :class:`FragmentError`; a name given twice in
+    ``free``, a free variable missing from it, a tuple whose length is not
+    ``len(free)``, or an element outside the domain, an :class:`EvaluationError`.
     """
+    if len(set(free)) < len(free):
+        raise EvaluationError(f"free variables {list(free)} name a variable twice")
     prefix, order, constraints, bound = _query(struct, phi)
     shadowed = sorted(set(prefix) & set(free))
     if shadowed:

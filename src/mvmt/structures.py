@@ -192,6 +192,8 @@ def _value(struct: Structure, f: Formula, env: Valuation) -> int:
     chain = struct.chain
     if isinstance(f, Atom):
         if f.pred in struct.lang.algebra_constants:
+            if f.args:
+                raise EvaluationError(f"algebra constant {f.pred!r} takes no arguments")
             return struct.lang.algebra_constants[f.pred]
         table = struct.predicates.get(f.pred)
         if table is None:

@@ -136,7 +136,7 @@ PINNED_REPORTS = {
     ("closure", False): "6950932740eaf7702dce9aaf02ef32261cf0e20b1ce9f02096b00eb1c2458ba0",
     ("hom", True): "a1a5d4cd8ca001c72da3e79b58be36f11892febb8dd1da3fc8ab01dab34ffa7a",
     ("ep", True): "b7fcedb56671375aa21cfcb5b131229f3f093f83da0a894e944b60a04a5f3015",
-    ("product", True): "6f283c2c34ab994771a1f6ed0f75c4940d34699e52955ad0ea0ccf1e6036048e",
+    ("product", True): "18f42940245a7a1f3dbf295d987779e4faa656f155546b28efdabb7f76456f62",
     ("closure", True): "6950932740eaf7702dce9aaf02ef32261cf0e20b1ce9f02096b00eb1c2458ba0",
 }
 

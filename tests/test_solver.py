@@ -3,9 +3,12 @@ from itertools import product
 import pytest
 
 from mvmt import (
+    Atom,
     EvaluationError,
+    Exists,
     FragmentError,
     Language,
+    Var,
     decide_pp_top,
     evaluate,
     make_lukasiewicz,
@@ -249,6 +252,36 @@ def test_top_decider_rejects_a_tuple_of_the_wrong_length():
         wrong = rf"^expected 2 element\(s\) for \['x', 'z'\], got {len(args)}$"
         with pytest.raises(EvaluationError, match=wrong):
             decide(args)
+
+
+def test_top_decider_rejects_a_name_given_twice():
+    # zip would pair u with both elements and keep only the last one.
+    s = build(CHAIN3, ("a", "b"), preds={"Q": (2, 0, {("b", "b"): 2})})
+    phi = parse_formula("Q(u, u)", s.lang)
+    assert top_decider(s, phi, ("u",))(("b",)) == {}
+    twice = r"^free variables \['u', 'u'\] name a variable twice$"
+    with pytest.raises(EvaluationError, match=twice):
+        top_decider(s, phi, ("u", "u"))
+
+
+def test_an_algebra_constant_with_arguments_is_an_evaluation_error():
+    # The parser builds no such atom. Built in code, its arguments were
+    # ignored: evaluate gave the constant with x unbound, and the search a
+    # witness for x.
+    s = build(CHAIN3, ("a", "b"), algebra_consts={"one": 1})
+    leaf = Atom("one", (Var("x"),))
+    assert evaluate(s, Atom("one", ())) == 1
+    calls = [
+        lambda: evaluate(s, leaf),
+        lambda: evaluate(s, leaf, {"x": "a"}),
+        lambda: solve_pp(s, Exists("x", leaf)),
+        lambda: decide_pp_top(s, Exists("x", leaf)),
+        lambda: top_decider(s, leaf, ["x"])(("a",)),
+    ]
+    wrong = r"^algebra constant 'one' takes no arguments$"
+    for call in calls:
+        with pytest.raises(EvaluationError, match=wrong):
+            call()
 
 
 def test_unknown_predicate_is_an_evaluation_error():
