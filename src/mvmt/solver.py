@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .structures import EvaluationError, Structure, _check_valuation, evaluate
+from .structures import EvaluationError, Structure, _atom_table, _check_valuation, evaluate
 from .syntax import (
     Atom,
     Equals,
@@ -207,7 +207,7 @@ def _query(struct: Structure, phi: Formula):
     branch; under a ``\\/`` another disjunct may still exceed it.
     """
     prefix, matrix = strip_exists_prefix(phi)
-    tnorm, algebra_constants = struct.chain.tnorm, struct.lang.algebra_constants
+    tnorm = struct.chain.tnorm
     constraints: list[tuple] = []
     scores: dict[str, int] = {}
     supports: dict[str, int] = {}  # top tuples per predicate name
@@ -224,18 +224,16 @@ def _query(struct: Structure, phi: Formula):
             return lambda values: max(left(values), right(values))
         variables = free_vars(f)
         test, data, support = _evaluate_leaf, (struct, f), float("inf")
+        table = _atom_table(struct, f) if isinstance(f, Atom) else None  # raises as evaluate would
         if isinstance(f, Equals):
             support = len(struct.domain)
-        elif isinstance(f, Atom) and f.pred not in algebra_constants:  # as evaluate, constants first
-            table = struct.predicates.get(f.pred)
-            if table is None:
-                raise EvaluationError(f"unknown predicate symbol {f.pred!r}")
+        elif table is not None:
             if f.pred not in supports:
                 supports[f.pred] = len(table.top_tuples(struct.domain, struct.chain.top))
             support = supports[f.pred]
             # read the table directly where evaluate would read it at the variables' values
             args = tuple([a.name for a in f.args if isinstance(a, Var)])
-            if table.arity == len(args) == len(f.args):
+            if len(args) == len(f.args):
                 test, data = _atom_value, (table.entries, table.default, args)
         for name in variables:
             scores[name] = min(scores.get(name, support), support)

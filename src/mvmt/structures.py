@@ -157,14 +157,13 @@ def eval_term(struct: Structure, term: Term, valuation: Valuation) -> str:
             return valuation[term.name]
         except KeyError:
             raise EvaluationError(f"unbound variable {term.name!r}") from None
-    if term.func in struct.constants:
+    if term.func in struct.constants and not term.args:
         return struct.constants[term.func]
-    table = struct.functions.get(term.func)
-    if table is None:
+    if term.func not in struct.lang.functions:
         raise EvaluationError(f"unknown function symbol {term.func!r}")
     args = tuple(eval_term(struct, a, valuation) for a in term.args)
     try:
-        return table[args]
+        return struct.functions[term.func][args]  # no table for a constant
     except KeyError:
         raise EvaluationError(
             f"function {term.func!r} applied to {len(args)} argument(s), "
@@ -185,24 +184,33 @@ def _check_valuation(struct: Structure, valuation: Valuation) -> None:
             raise EvaluationError(f"variable {name!r} is assigned {element!r}, outside the domain")
 
 
+def _atom_table(struct: Structure, atom: Atom) -> PredTable | None:
+    """The table ``atom`` reads, or None for an algebra constant; an
+    :class:`EvaluationError` for an atom that ``struct`` cannot value."""
+    if atom.pred in struct.lang.algebra_constants:
+        if atom.args:
+            raise EvaluationError(f"algebra constant {atom.pred!r} takes no arguments")
+        return None
+    table = struct.predicates.get(atom.pred)
+    if table is None:
+        raise EvaluationError(f"unknown predicate symbol {atom.pred!r}")
+    if len(atom.args) != table.arity:
+        raise EvaluationError(
+            f"predicate {atom.pred!r} applied to {len(atom.args)} argument(s), "
+            f"expected {table.arity}"
+        )
+    return table
+
+
 def _value(struct: Structure, f: Formula, env: Valuation) -> int:
     # Module level, not a closure in evaluate: a recursive closure refers to
     # itself, so each evaluate call would leave a cycle for the cyclic garbage
     # collector, whose passes took about 15% of solver time.
     chain = struct.chain
     if isinstance(f, Atom):
-        if f.pred in struct.lang.algebra_constants:
-            if f.args:
-                raise EvaluationError(f"algebra constant {f.pred!r} takes no arguments")
-            return struct.lang.algebra_constants[f.pred]
-        table = struct.predicates.get(f.pred)
+        table = _atom_table(struct, f)
         if table is None:
-            raise EvaluationError(f"unknown predicate symbol {f.pred!r}")
-        if len(f.args) != table.arity:
-            raise EvaluationError(
-                f"predicate {f.pred!r} applied to {len(f.args)} argument(s), "
-                f"expected {table.arity}"
-            )
+            return struct.lang.algebra_constants[f.pred]
         return table.value(tuple(eval_term(struct, t, env) for t in f.args))
     if isinstance(f, Equals):
         return chain.top if eval_term(struct, f.left, env) == eval_term(struct, f.right, env) else 0

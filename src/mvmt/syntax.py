@@ -22,11 +22,13 @@ reserved words.  Identifiers not declared in the language are variables.
 Parsing renames bound variables apart: after :func:`parse_formula` every
 binder uses a name distinct from all other binders, free variables and
 function symbols, so no bound variable prints like a constant.  It rejects
-formulas nested more than :data:`MAX_NESTING` levels deep.  One walker
-renames binders for both :func:`rename_apart` and :func:`substitute`, which
-also keeps binders away from the substituted term's names, so substitution
-never captures.  One non-recursive walk over the levels of the syntax tree
-serves the nesting check, the function symbols and :func:`classify`.
+formulas nested more than :data:`MAX_NESTING` levels deep.  One binder
+walker serves :func:`rename_apart`, :func:`substitute` (which also keeps
+binders away from the substituted term's names, so substitution never
+captures) and :func:`alpha_equal` (which names each binder by its place in
+the walk).  One non-recursive walk over the levels of the syntax tree serves
+the nesting check, the function symbols, :func:`classify` and
+:func:`is_pp_normal_shape`.
 
 One expander implements the fragment normal forms: it distributes an EP
 matrix into canonical pp disjuncts, dropping duplicates as it goes;
@@ -254,9 +256,10 @@ def substitute(phi: Formula, var: str, term: Term) -> Formula:
     return _rebind(phi, {var: term}, free | _functions(phi) | term_vars(term) | _functions(term))
 
 
-def _rebind(f: Formula, env: Mapping[str, Term], used: set[str]) -> Formula:
+def _rebind(f: Formula, env: Mapping[str, Term], used: set[str], base: str | None = None) -> Formula:
     """Replace each free variable named in ``env`` by its term, and give
-    every binder the first fresh name outside ``used``, which it then joins."""
+    every binder the first fresh name outside ``used`` built on ``base``
+    (when None, on the binder's own name), which it then joins."""
     if isinstance(f, Atom):
         return Atom(f.pred, tuple(_replace(t, env) for t in f.args))
     if isinstance(f, Equals):
@@ -264,9 +267,9 @@ def _rebind(f: Formula, env: Mapping[str, Term], used: set[str]) -> Formula:
     if isinstance(f, TruthConst):
         return f
     if isinstance(f, (Exists, Forall)):
-        new = _fresh(f.var, used)
-        return type(f)(new, _rebind(f.body, {**env, f.var: Var(new)}, used))
-    return type(f)(_rebind(f.left, env, used), _rebind(f.right, env, used))
+        new = _fresh(f.var if base is None else base, used)
+        return type(f)(new, _rebind(f.body, {**env, f.var: Var(new)}, used, base))
+    return type(f)(_rebind(f.left, env, used, base), _rebind(f.right, env, used, base))
 
 
 def _replace(t: Term, env: Mapping[str, Term]) -> Term:
@@ -276,34 +279,10 @@ def _replace(t: Term, env: Mapping[str, Term]) -> Term:
 
 
 def alpha_equal(f: Formula, g: Formula) -> bool:
-    """Structural equality up to consistent renaming of bound variables."""
-
-    def go(a: Formula, b: Formula, ea: dict[str, str], eb: dict[str, str], depth: int) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, TruthConst):
-            return a == b
-        if isinstance(a, Atom):
-            return a.pred == b.pred and len(a.args) == len(b.args) and all(
-                got(x, y, ea, eb) for x, y in zip(a.args, b.args)
-            )
-        if isinstance(a, Equals):
-            return got(a.left, b.left, ea, eb) and got(a.right, b.right, ea, eb)
-        if isinstance(a, (Exists, Forall)):
-            mark = f"\x00{depth}"
-            return go(a.body, b.body, {**ea, a.var: mark}, {**eb, b.var: mark}, depth + 1)
-        return go(a.left, b.left, ea, eb, depth) and go(a.right, b.right, ea, eb, depth)
-
-    def got(x: Term, y: Term, ea, eb) -> bool:
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Var):
-            return ea.get(x.name, x.name) == eb.get(y.name, y.name)
-        return x.func == y.func and len(x.args) == len(y.args) and all(
-            got(p, q, ea, eb) for p, q in zip(x.args, y.args)
-        )
-
-    return go(f, g, {}, {}, 0)
+    """Structural equality up to consistent renaming of bound variables:
+    both sides rebound with each binder named by its place in the walk."""
+    used = free_vars(f) | free_vars(g)
+    return _rebind(f, {}, set(used), "\x00") == _rebind(g, {}, set(used), "\x00")
 
 
 # --- printing ----------------------------------------------------------------
@@ -716,18 +695,11 @@ def is_pp_normal_shape(phi: Formula) -> bool:
     """Check the layering only: exists-prefix, then min-layer, then
     strong-conjunction blocks, then atoms."""
     _, matrix = strip_exists_prefix(phi)
-
-    def weak_layer(f: Formula) -> bool:
-        if isinstance(f, WeakAnd):
-            return weak_layer(f.left) and weak_layer(f.right)
-        return strong_layer(f)
-
-    def strong_layer(f: Formula) -> bool:
-        if isinstance(f, StrongAnd):
-            return strong_layer(f.left) and strong_layer(f.right)
-        return isinstance(f, (Atom, Equals, TruthConst))
-
-    return weak_layer(matrix)
+    return PP in classify(phi) and not any(
+        isinstance(n, StrongAnd) and WeakAnd in (type(n.left), type(n.right))
+        for level in _levels(matrix)
+        for n in level
+    )
 
 
 def ep_to_pp_disjunction(phi: Formula) -> list[Formula]:

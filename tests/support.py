@@ -42,6 +42,8 @@ def ref_evaluate(struct, phi, valuation=None):
     def go(f, env):
         if isinstance(f, Atom):
             if f.pred in struct.lang.algebra_constants:
+                if f.args:
+                    raise ValueError(f"algebra constant {f.pred!r} takes no arguments")
                 return struct.lang.algebra_constants[f.pred]
             table = struct.predicates[f.pred]
             key = tuple(ref_eval_term(struct, t, env) for t in f.args)

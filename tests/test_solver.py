@@ -9,6 +9,7 @@ from mvmt import (
     FragmentError,
     Language,
     Var,
+    WeakAnd,
     decide_pp_top,
     evaluate,
     make_lukasiewicz,
@@ -282,6 +283,24 @@ def test_an_algebra_constant_with_arguments_is_an_evaluation_error():
     for call in calls:
         with pytest.raises(EvaluationError, match=wrong):
             call()
+    with pytest.raises(ValueError, match=wrong):  # the reference evaluator agrees
+        ref_evaluate(s, leaf, {"x": "a"})
+
+
+def test_a_malformed_atom_is_rejected_when_the_query_is_built():
+    # P is nowhere top, so forward checking cut every branch before the
+    # search reached the malformed atom, and the decider returned None.
+    s = build(CHAIN3, ("a", "b"), preds={"P": (1, 1, {}), "Q": (1, 2, {})}, algebra_consts={"one": 2})
+    x = Var("x")
+    cases = [
+        (Atom("one", (x,)), r"^algebra constant 'one' takes no arguments$"),
+        (Atom("Q", (x, x)), r"^predicate 'Q' applied to 2 argument\(s\), expected 1$"),
+    ]
+    for leaf, message in cases:
+        phi = Exists("x", WeakAnd(Atom("P", (x,)), leaf))
+        for call in (decide_pp_top, solve_pp, lambda m, f: top_decider(m, f)):
+            with pytest.raises(EvaluationError, match=message):
+                call(s, phi)
 
 
 def test_unknown_predicate_is_an_evaluation_error():

@@ -21,6 +21,7 @@ from mvmt import (
     make_lukasiewicz,
     named_constant,
     parse_formula,
+    solve_pp,
     structure_from_dict,
     structure_to_dict,
     to_text,
@@ -28,7 +29,7 @@ from mvmt import (
 )
 from mvmt.algebra import ElementRangeError
 from mvmt.harness import gen_chain, gen_language, gen_structure, trial_rng
-from mvmt.syntax import App, Atom, Equals, Var
+from mvmt.syntax import App, Atom, Equals, Exists, Var
 
 from support import build, ref_evaluate
 
@@ -56,6 +57,12 @@ def test_eval_term_cases():
         eval_term(s, App("g", (Var("x"),)), {"x": "a"})
     with pytest.raises(EvaluationError, match=r"applied to 2 argument\(s\), expected 1$"):
         eval_term(s, App("f", (Var("x"), Var("x"))), {"x": "a"})
+    # the parser rejects c(x); built in code, its argument was ignored
+    constant = r"^function 'c' applied to 1 argument\(s\), expected 0$"
+    with pytest.raises(EvaluationError, match=constant):
+        eval_term(s, App("c", (Var("x"),)), {"x": "b"})
+    with pytest.raises(EvaluationError, match=constant):
+        solve_pp(s, Exists("x", Equals(App("c", (Var("x"),)), Var("x"))))
     with pytest.raises(EvaluationError, match=r"^unknown predicate symbol 'Z'$"):
         evaluate(s, Atom("Z", (Var("x"),)), {"x": "a"})
     with pytest.raises(EvaluationError, match=r"^cannot evaluate node str$"):

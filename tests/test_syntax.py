@@ -297,6 +297,20 @@ def test_pp_normal_form_distributes():
     assert is_pp_normal_shape(nf)
 
 
+def test_is_pp_normal_shape_rejects_other_layerings():
+    layered = ["E x y . (P(x) & Q(y)) /\\ R(x) /\\ x = y", "P(x)", "1", "E x . T(x, x) & Z"]
+    for text in layered:
+        assert is_pp_normal_shape(parse_formula(text, LANG)), text
+    unlayered = [
+        "E x . P(x) & (Q(x) /\\ R(x))",  # a min below a strong conjunction
+        "E x . P(x) \\/ Q(x)",
+        "E x . P(x) -> Q(x)",
+        "E x . P(x) /\\ (E y . Q(y))",  # a quantifier inside the matrix
+    ]
+    for text in unlayered:
+        assert not is_pp_normal_shape(parse_formula(text, LANG)), text
+
+
 def test_pp_normal_form_fixpoint():
     f = parse_formula("E x . (P(x) & Q(x)) /\\ R(x)", LANG)
     assert pp_normal_form(f) == f
@@ -434,6 +448,29 @@ def test_print_parse_round_trip_edge_cases():
     for text in cases:
         phi = parse_formula(text, lang)
         assert alpha_equal(phi, parse_formula(to_text(phi), lang)), text
+
+
+def test_alpha_equal_false_side():
+    lang = Language(predicates={"P": 1, "R": 2})
+
+    def parse(text):
+        return parse_formula(text, lang)
+
+    px = Atom("P", (Var("x"),))
+    # the parser renames binders apart, so the shadowing pair is built in code
+    assert alpha_equal(Exists("x", Exists("x", px)), Exists("y", Exists("z", Atom("P", (Var("z"),)))))
+    assert not alpha_equal(Exists("x", Exists("x", px)), Exists("x", Exists("y", px)))
+    assert alpha_equal(parse("E x y . R(x, y)"), parse("E y x . R(y, x)"))
+    unequal = [
+        ("P(x)", "P(y)"),  # different free variables
+        ("E x . E y . R(x, y)", "E y . E x . R(x, y)"),  # swapped binders
+        ("E x . P(x)", "E y . P(x)"),  # captured vs free
+        ("E x . P(x)", "A x . P(x)"),
+        ("E x . R(x, y)", "E y . R(y, x)"),  # a free name that is bound on the other side
+    ]
+    for left, right in unequal:
+        assert not alpha_equal(parse(left), parse(right)), (left, right)
+        assert not alpha_equal(parse(right), parse(left)), (right, left)
 
 
 def test_infer_formula():
