@@ -3,12 +3,14 @@
 A pp sentence is a constraint instance: the existential prefix lists the
 variables, the matrix atoms the constraints.  One backtracking kernel,
 :func:`_kernel`, plans the search of such a query once and returns it; each
-run searches above a value floor: :func:`solve_pp` as branch and bound, and
-:func:`mvmt.morphisms.find_homomorphisms` on the canonical query of the
-source structure, since finding a homomorphism is the same problem (Chandra
-and Merlin).  An existential positive sentence is searched the same way by
-:func:`solve_ep`: its matrix bound takes ``\\/`` as the max of its children,
-so no expansion into pp disjuncts is needed.
+run searches above a value floor.  :func:`solve_pp` first searches from just
+below top, where top-ness is the crisp constraint problem of the top-sets,
+and runs branch and bound from the bottom only when top is out of reach;
+:func:`mvmt.morphisms.find_homomorphisms` searches the canonical query of
+the source structure, since finding a homomorphism is the same problem
+(Chandra and Merlin).  An existential positive sentence is searched the same
+way by :func:`solve_ep`: its matrix bound takes ``\\/`` as the max of its
+children, so no expansion into pp disjuncts is needed.
 
 :func:`top_decider` plans once per formula and reruns the search for each
 tuple of values of its free variables, with the floor just below top (a pp
@@ -30,8 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .structures import EvaluationError, Structure, _atom_table, _check_valuation, evaluate
+from .structures import (
+    EvaluationError,
+    Structure,
+    _atom_table,
+    _check_application,
+    _check_valuation,
+    evaluate,
+)
 from .syntax import (
+    App,
     Atom,
     Equals,
     FragmentError,
@@ -40,6 +50,7 @@ from .syntax import (
     StrongAnd,
     Var,
     WeakAnd,
+    _levels,
     classify,
     free_vars,
     strip_exists_prefix,
@@ -193,11 +204,14 @@ def _query(struct: Structure, phi: Formula):
 
     The matrix is read as ``&``, ``/\\`` and ``\\/`` over leaves: atoms,
     and any other subformula (such as an implication), which
-    :func:`evaluate` values.  The order sorts the prefix by each variable's
-    score, then by name.  The score is the least support among the leaves
-    where the variable occurs, read where the leaf's test is built: the
-    domain size for an equality, the number of top tuples for a predicate
-    table atom; other leaves do not score, and unscored variables come last.
+    :func:`evaluate` values.  An atom leaf and every function term in a
+    leaf are checked against ``struct`` here, so a malformed one raises as
+    :func:`evaluate` would, whatever the search reaches.  The order sorts
+    the prefix by each variable's score, then by name.  The score is the
+    least support among the leaves where the variable occurs, read where the
+    leaf's test is built: the domain size for an equality, the number of top
+    tuples for a predicate table atom; other leaves do not score, and
+    unscored variables come last.
 
     The walk appends each leaf's constraint at the index that the bound
     reads the leaf's value from.  The bound is monotone, so with untested
@@ -235,6 +249,9 @@ def _query(struct: Structure, phi: Formula):
             args = tuple([a.name for a in f.args if isinstance(a, Var)])
             if len(args) == len(f.args):
                 test, data = _atom_value, (table.entries, table.default, args)
+        if test is _evaluate_leaf:  # its function terms, checked as eval_term would
+            for term in [n for level in _levels(f) for n in level if isinstance(n, App)]:
+                _check_application(struct, term)
         for name in variables:
             scores[name] = min(scores.get(name, support), support)
         constraints.append((variables, test, data, not in_or))
@@ -246,23 +263,29 @@ def _query(struct: Structure, phi: Formula):
 
 
 def _solve(struct: Structure, phi: Formula, fragment: str, described: str) -> SolveResult:
-    """The branch and bound behind :func:`solve_pp` and :func:`solve_ep`."""
+    """The search behind :func:`solve_pp` and :func:`solve_ep`: from the
+    floor just below top, as :func:`top_decider` searches, and only when that
+    finds nothing, branch and bound from -1.  Both take the assignments in
+    one order, and branch and bound keeps its floor below top until it
+    reaches the first top one, so the witness is the same either way."""
     _require_sentence(phi, fragment, described)
     prefix, order, constraints, bound = _query(struct, phi)
     top = struct.chain.top
+    for env, _ in _kernel(order, constraints, top, top - 1, bound)(struct.domain, {}):
+        return SolveResult(value=top, witness={v: env[v] for v in prefix}, decided_top=True)
     best, witness = -1, {}
     for env, values in _kernel(order, constraints, top, -1, bound)(struct.domain, {}):
         best, witness = bound(values), {v: env[v] for v in prefix}
-        if best == top:
-            break
-    return SolveResult(value=best, witness=witness, decided_top=best == top)
+    return SolveResult(value=best, witness=witness, decided_top=False)
 
 
 def solve_pp(struct: Structure, phi: Formula) -> SolveResult:
     """Exact value of a pp sentence with a witnessing prefix assignment.
 
-    Branch and bound in a deterministic order: variables sorted by scarcest
-    top support (ties by name), domain elements in domain order.  The
+    A deterministic order: variables sorted by scarcest top support (ties by
+    name), domain elements in domain order.  The search first looks for an
+    assignment of value top, cutting each branch at its first atom that is
+    not top, and only when there is none runs branch and bound.  The
     witness is the first assignment in that order attaining the value.
     """
     return _solve(struct, phi, PP, "a pp formula")
@@ -313,6 +336,6 @@ def decide_pp_top(struct: Structure, phi: Formula) -> dict[str, str] | None:
 
 def solve_ep(struct: Structure, phi: Formula) -> SolveResult:
     """Exact value of an existential positive sentence with a witnessing
-    prefix assignment: the same search as :func:`solve_pp`, run directly on
-    the matrix with ``\\/`` as max."""
+    prefix assignment: the same searches as :func:`solve_pp`, top first and
+    then branch and bound, run directly on the matrix with ``\\/`` as max."""
     return _solve(struct, phi, EXISTENTIAL_POSITIVE, "an existential positive formula")

@@ -159,16 +159,25 @@ def eval_term(struct: Structure, term: Term, valuation: Valuation) -> str:
             raise EvaluationError(f"unbound variable {term.name!r}") from None
     if term.func in struct.constants and not term.args:
         return struct.constants[term.func]
-    if term.func not in struct.lang.functions:
-        raise EvaluationError(f"unknown function symbol {term.func!r}")
+    _check_application(struct, term)
     args = tuple(eval_term(struct, a, valuation) for a in term.args)
     try:
-        return struct.functions[term.func][args]  # no table for a constant
+        return struct.functions[term.func][args]
     except KeyError:
+        _check_valuation(struct, valuation)  # raises for the element outside the domain
+        raise
+
+
+def _check_application(struct: Structure, term: App) -> None:
+    """An :class:`EvaluationError` for an unknown function symbol, or one
+    applied to the wrong number of arguments (a constant to any)."""
+    arity = struct.lang.functions.get(term.func)
+    if arity is None:
+        raise EvaluationError(f"unknown function symbol {term.func!r}")
+    if len(term.args) != arity:
         raise EvaluationError(
-            f"function {term.func!r} applied to {len(args)} argument(s), "
-            f"expected {struct.lang.functions[term.func]}"
-        ) from None
+            f"function {term.func!r} applied to {len(term.args)} argument(s), expected {arity}"
+        )
 
 
 def evaluate(struct: Structure, phi: Formula, valuation: Valuation | None = None) -> int:

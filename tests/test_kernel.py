@@ -24,9 +24,26 @@ from mvmt import (
     solve_pp,
 )
 from mvmt import morphisms, solver
-from mvmt.harness import gen_chain, gen_ep_formula, gen_pp_formula, gen_structure, trial_rng
+from mvmt.algebra import chain_kind
+from mvmt.harness import (
+    gen_chain,
+    gen_ep_formula,
+    gen_pp_formula,
+    gen_structure,
+    random_custom_chain,
+    trial_rng,
+)
 from mvmt.solver import decide_pp_top, top_decider
-from mvmt.syntax import EXISTENTIAL_POSITIVE, PP, Atom, Exists, Var, classify, to_text
+from mvmt.syntax import (
+    EXISTENTIAL_POSITIVE,
+    PP,
+    Atom,
+    Exists,
+    Var,
+    classify,
+    strip_exists_prefix,
+    to_text,
+)
 
 from support import build, ref_evaluate
 
@@ -153,6 +170,63 @@ def test_top_decider_witnesses_are_pinned():
             w = decide(args)
             digest.update(repr(None if w is None else list(w.items())).encode())
     assert digest.hexdigest() == PINNED_DECIDERS
+
+
+def test_solve_decides_top_first(monkeypatch):
+    # A top sentence is found by the search from just below top alone; a
+    # non-top one is refuted there and then solved by branch and bound.
+    floors = []
+    plan = solver._kernel
+
+    def recording(order, constraints, top, floor, bound=None):
+        floors.append(floor)
+        return plan(order, constraints, top, floor, bound)
+
+    monkeypatch.setattr(solver, "_kernel", recording)
+    s = build(make_lukasiewicz(3), ("a", "b"), preds={"P": (1, 1, {("b",): 2}), "Q": (1, 1, {})})
+    cases = [
+        (solve_pp, "E x y . P(x) & P(y)", 2),
+        (solve_pp, "E x . P(x) & Q(x)", 1),
+        (solve_ep, "E x . Q(x) \\/ P(x)", 2),
+        (solve_ep, "E x . Q(x) \\/ (P(x) & Q(x))", 1),
+    ]
+    for solve, text, value in cases:
+        floors.clear()
+        r = solve(s, parse_formula(text, s.lang))
+        assert (r.value, r.decided_top) == (value, value == 2)
+        assert floors == ([1] if value == 2 else [1, -1]), text
+
+
+def branch_and_bound(s, phi):
+    """The value, witness items and top flag that branch and bound from the
+    floor -1 alone gives, through the same query and kernel."""
+    prefix, order, constraints, bound = solver._query(s, phi)
+    best, witness = -1, {}
+    for env, values in solver._kernel(order, constraints, s.chain.top, -1, bound)(s.domain, {}):
+        best, witness = bound(values), {v: env[v] for v in prefix}
+    return best, list(witness.items()), best == s.chain.top
+
+
+def test_solving_top_first_keeps_the_branch_and_bound_answers():
+    # Gödel, Łukasiewicz and drawn custom chains in turn; a drawn table may
+    # be a stock one, so the kinds met are counted.
+    kinds = set()
+    tops = non_tops = 0
+    for t in range(360):
+        rng = trial_rng(61, "kernel-top-first", t)
+        makers = (make_godel, make_lukasiewicz, lambda n: random_custom_chain(rng, n))
+        chain, lang = makers[t % 3](rng.randint(2, 4)), LANGS[t // 3 % 3]
+        s = drawn_structure(rng, chain, lang, 3)
+        for solve, draw in ((solve_pp, gen_pp_formula), (solve_ep, gen_ep_formula)):
+            phi = draw(rng, lang, [], 4)
+            r = solve(s, phi)
+            assert (r.value, list(r.witness.items()), r.decided_top) == branch_and_bound(s, phi), to_text(phi)
+            assert ref_evaluate(s, strip_exists_prefix(phi)[1], r.witness) == r.value
+            tops += r.decided_top
+            non_tops += not r.decided_top
+        kinds.add(chain_kind(chain))
+    assert non_tops >= 50 and tops >= 50, (tops, non_tops)
+    assert kinds == {"godel", "lukasiewicz", "custom"}
 
 
 def test_forward_checking_prunes(monkeypatch):

@@ -3,7 +3,9 @@ from itertools import product
 import pytest
 
 from mvmt import (
+    App,
     Atom,
+    Equals,
     EvaluationError,
     Exists,
     FragmentError,
@@ -289,12 +291,22 @@ def test_an_algebra_constant_with_arguments_is_an_evaluation_error():
 
 def test_a_malformed_atom_is_rejected_when_the_query_is_built():
     # P is nowhere top, so forward checking cut every branch before the
-    # search reached the malformed atom, and the decider returned None.
-    s = build(CHAIN3, ("a", "b"), preds={"P": (1, 1, {}), "Q": (1, 2, {})}, algebra_consts={"one": 2})
+    # search reached the malformed leaf, and the decider returned None.
+    s = build(
+        CHAIN3,
+        ("a", "b"),
+        preds={"P": (1, 1, {}), "Q": (1, 2, {})},
+        funcs={"f": {("a",): "b", ("b",): "a"}},
+        algebra_consts={"one": 2},
+    )
     x = Var("x")
+    unknown = r"^unknown function symbol 'g'$"
     cases = [
         (Atom("one", (x,)), r"^algebra constant 'one' takes no arguments$"),
         (Atom("Q", (x, x)), r"^predicate 'Q' applied to 2 argument\(s\), expected 1$"),
+        (Equals(App("g", (x,)), x), unknown),
+        (Atom("P", (App("g", (x,)),)), unknown),
+        (Equals(App("f", (x, x)), x), r"^function 'f' applied to 2 argument\(s\), expected 1$"),
     ]
     for leaf, message in cases:
         phi = Exists("x", WeakAnd(Atom("P", (x,)), leaf))

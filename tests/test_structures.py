@@ -57,6 +57,8 @@ def test_eval_term_cases():
         eval_term(s, App("g", (Var("x"),)), {"x": "a"})
     with pytest.raises(EvaluationError, match=r"applied to 2 argument\(s\), expected 1$"):
         eval_term(s, App("f", (Var("x"), Var("x"))), {"x": "a"})
+    with pytest.raises(EvaluationError, match=r"^variable 'x' is assigned 'zz', outside the domain$"):
+        eval_term(s, App("f", (Var("x"),)), {"x": "zz"})
     # the parser rejects c(x); built in code, its argument was ignored
     constant = r"^function 'c' applied to 1 argument\(s\), expected 0$"
     with pytest.raises(EvaluationError, match=constant):
